@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_thread
+
 # Reference solves push the gradient two orders below what the 1e-6
 # H*-error stopping criterion can resolve, so x* error is negligible.
 REF_GRAD_TOL = 1e-13
@@ -213,6 +215,7 @@ def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
     return g + np.longdouble(obj.reg_nu) * x.astype(np.longdouble)
 
 
+@single_thread()
 def solve_reference(obj: Objective, x0, *, collect_iterates: list | None = None
                     ) -> ReferenceSolution:
     """Damped Newton to ||grad f|| <= 1e-13, at most 200 iterations.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_thread
 from .averaging import Uniform, initial_state, update
 from .oracles import Exact, estimate
 from .problem import ReferenceSolution, _as_vector, hstar_error
@@ -111,6 +112,7 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     return None, MAX_BACKTRACKS + 1
 
 
+@single_thread()
 def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
         averaging_trace: list | None = None) -> RunResult:
     """Run the averaged stochastic Newton loop from x0.
@@ -158,6 +160,7 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
     return RunResult(records, converged, iterations_to_tol, x)
 
 
+@single_thread()
 def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
              rho_backtrack: float = DEFAULT_RHO, max_iter: int = 500,
              tol: float = 1e-6, ref: ReferenceSolution | None = None

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hessavg.averaging import (LastOnly, LogPower, Power, Uniform, derivative,
                                growth_ratio, initial_state, log_weight,
@@ -127,6 +130,31 @@ def test_online_update_matches_batch_weights():
             z = normalized_weights(seq, t)
             batch = np.tensordot(z, mats[:t + 1], axes=1)
             assert np.max(np.abs(st.h_tilde - batch)) <= 1e-10
+
+
+weight_sequences = st.one_of(
+    st.just(Uniform()),
+    st.floats(1.0, 4.0).map(Power),
+    st.floats(0.05, 2.0).map(lambda scale: LogPower(scale=scale)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=weight_sequences, data=st.data())
+def test_online_update_matches_batch_weights_property(seq, data):
+    horizon = data.draw(st.integers(1, 60), label="horizon")
+    d = data.draw(st.integers(1, 6), label="d")
+    mats = data.draw(arrays(np.float64, (horizon, d, d),
+                            elements=st.floats(-1e3, 1e3)), label="mats")
+    mats = mats + mats.transpose(0, 2, 1)
+    state = initial_state(d)
+    for h_hat in mats:
+        state = update(state, seq, h_hat)
+    batch = np.tensordot(normalized_weights(seq, horizon - 1), mats, axes=1)
+    # Relative to the largest entry; below the smallest normal float the
+    # rounding unit is absolute, so the scale is floored there.
+    scale = max(np.max(np.abs(mats)), np.finfo(float).tiny)
+    assert np.max(np.abs(state.h_tilde - batch)) <= 1e-12 * scale
 
 
 def test_lastonly_tracks_most_recent():

@@ -20,7 +20,7 @@ long before that point matters.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,6 @@ import numpy as np
 @dataclass(frozen=True)
 class LastOnly:
     """No averaging: the state tracks the most recent estimate."""
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """w(t) = t + 1 (arithmetic mean)."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +39,26 @@ class Power:
     def __post_init__(self):
         if not self.p >= 1:
             raise ValueError("power exponent p must be >= 1")
+
+    def weight(self, t: int) -> float:
+        return float(t + 1) ** self.p
+
+    def log_weight(self, t: float) -> float:
+        return self.p * math.log(t + 1)
+
+    def growth_ratio(self, t: float) -> float:
+        return self.p / (t + 1.0)
+
+
+@dataclass(frozen=True)
+class Uniform(Power):
+    """w(t) = t + 1 (arithmetic mean): a Power with p fixed to 1.
+
+    Every Power formula multiplies or raises by p, and both are exact at
+    p = 1, so the values equal the plain closed forms bit for bit.
+    """
+
+    p: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,68 +76,58 @@ class LogPower:
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
 
+    def weight(self, t: int) -> float:
+        return math.exp(self.scale * math.log(t + 1) ** 2)
+
+    def log_weight(self, t: float) -> float:
+        lt = math.log(t + 1)
+        return self.scale * lt * lt
+
+    def growth_ratio(self, t: float) -> float:
+        return 2.0 * self.scale * math.log(t + 1.0) / (t + 1.0)
+
 
 @dataclass
 class AveragingState:
-    """Running average H_tilde_t together with w(t) and the index t."""
+    """Running average H_tilde_t together with the index t."""
 
     h_tilde: np.ndarray
-    w_prev: float
     t: int
 
 
 def initial_state(d: int) -> AveragingState:
-    """State before any update: H_tilde = 0, w = 0, t = -1."""
-    return AveragingState(np.zeros((d, d)), 0.0, -1)
+    """State before any update: H_tilde = 0, t = -1."""
+    return AveragingState(np.zeros((d, d)), -1)
+
+
+def _sequence(seq):
+    """seq itself when it is a weight sequence; TypeError otherwise."""
+    if isinstance(seq, LastOnly):
+        raise TypeError("LastOnly is not weight-based")
+    if not isinstance(seq, (Power, LogPower)):
+        raise TypeError("unknown weight sequence: %r" % (seq,))
+    return seq
 
 
 def weight(seq, t: int) -> float:
     """w(t) for integer t >= -1, with w(-1) = 0."""
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
+    seq = _sequence(seq)
     if t < -1:
         raise ValueError("t must be >= -1")
-    if t == -1:
-        return 0.0
-    if isinstance(seq, Uniform):
-        return float(t + 1)
-    if isinstance(seq, Power):
-        return float(t + 1) ** seq.p
-    if isinstance(seq, LogPower):
-        return math.exp(seq.scale * math.log(t + 1) ** 2)
-    raise TypeError("unknown weight sequence: %r" % (seq,))
+    return 0.0 if t == -1 else seq.weight(t)
 
 
 def log_weight(seq, t: int) -> float:
     """ln w(t), with -inf at t = -1.  Safe where w(t) itself overflows."""
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
+    seq = _sequence(seq)
     if t < -1:
         raise ValueError("t must be >= -1")
-    if t == -1:
-        return -math.inf
-    lt = math.log(t + 1)
-    if isinstance(seq, Uniform):
-        return lt
-    if isinstance(seq, Power):
-        return seq.p * lt
-    if isinstance(seq, LogPower):
-        return seq.scale * lt * lt
-    raise TypeError("unknown weight sequence: %r" % (seq,))
+    return -math.inf if t == -1 else seq.log_weight(t)
 
 
 def derivative(seq, t: float) -> float:
     """w'(t) of the continuous extension, for the growth-ratio bound."""
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
-    if isinstance(seq, Uniform):
-        return 1.0
-    if isinstance(seq, Power):
-        return seq.p * (t + 1.0) ** (seq.p - 1.0)
-    if isinstance(seq, LogPower):
-        lt = math.log(t + 1.0)
-        return math.exp(seq.scale * lt * lt) * 2.0 * seq.scale * lt / (t + 1.0)
-    raise TypeError("unknown weight sequence: %r" % (seq,))
+    return math.exp(log_weight(seq, t)) * growth_ratio(seq, t)
 
 
 def growth_ratio(seq, t: float) -> float:
@@ -131,45 +136,26 @@ def growth_ratio(seq, t: float) -> float:
     Stays finite for t far beyond where w(t) itself overflows, which the
     transition-point calculators rely on.
     """
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
-    if isinstance(seq, Uniform):
-        return 1.0 / (t + 1.0)
-    if isinstance(seq, Power):
-        return seq.p / (t + 1.0)
-    if isinstance(seq, LogPower):
-        return 2.0 * seq.scale * math.log(t + 1.0) / (t + 1.0)
-    raise TypeError("unknown weight sequence: %r" % (seq,))
+    return _sequence(seq).growth_ratio(t)
 
 
-def _ratio(seq, t: int) -> float:
-    """w(t-1)/w(t) computed in log space (0 when t = 0)."""
-    if t == 0:
-        return 0.0
-    return math.exp(log_weight(seq, t - 1) - log_weight(seq, t))
-
-
-def update(state: AveragingState, seq, h_hat) -> AveragingState:
+def update(state: AveragingState, seq, h_hat: np.ndarray) -> AveragingState:
     """Fold one estimate into the average; returns a new state."""
-    matrix = getattr(h_hat, "matrix", h_hat)
     d = state.h_tilde.shape[0]
-    if matrix.shape != (d, d):
-        raise ValueError(
-            "estimate shape %r does not match state dimension %d"
-            % (matrix.shape, d)
-        )
+    if h_hat.shape != (d, d):
+        raise ValueError("estimate shape %r does not match state dimension %d"
+                         % (h_hat.shape, d))
     t = state.t + 1
     if isinstance(seq, LastOnly):
-        return AveragingState(np.array(matrix, dtype=float), 0.0, t)
-    r = _ratio(seq, t)
-    h = r * state.h_tilde + (1.0 - r) * matrix
-    return AveragingState(h, weight(seq, t), t)
+        return AveragingState(np.array(h_hat, dtype=float), t)
+    # w(t-1)/w(t) in log space; exactly 0 at t = 0, where ln w(-1) = -inf.
+    r = math.exp(log_weight(seq, t - 1) - log_weight(seq, t))
+    return AveragingState(r * state.h_tilde + (1.0 - r) * h_hat, t)
 
 
 def normalized_weights(seq, t: int) -> np.ndarray:
     """The batch weights z_{i,t} = (w_i - w_{i-1})/w_t for i = 0..t."""
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
+    seq = _sequence(seq)
     if t < 0:
         raise ValueError("t must be >= 0")
     lw = np.array([log_weight(seq, i) for i in range(t + 1)])
@@ -187,14 +173,15 @@ def psi_bound(seq, horizon: int) -> float:
     Ratios with a zero denominator are skipped; the only such case among
     the implemented sequences is the LogPower derivative at t = 0.
     """
-    if isinstance(seq, LastOnly):
-        raise TypeError("LastOnly is not weight-based")
+    seq = _sequence(seq)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     best = 0.0
     for t in range(horizon + 1):
-        best = max(best, math.exp(log_weight(seq, t + 1) - log_weight(seq, t)))
-        dv = derivative(seq, t)
-        if dv > 0.0:
-            best = max(best, derivative(seq, t + 1) / dv)
+        step = math.exp(seq.log_weight(t + 1) - seq.log_weight(t))
+        best = max(best, step)
+        g = seq.growth_ratio(t)
+        if g > 0.0:
+            # w'(t+1)/w'(t) with w' = w * growth_ratio.
+            best = max(best, step * seq.growth_ratio(t + 1) / g)
     return best

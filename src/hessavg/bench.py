@@ -4,8 +4,8 @@ This module turns a grid description (coherence modes x condition numbers
 x sample sizes x oracles x averaging variants x seeds) into independent
 solver runs, executes them serially or across a process pool, and
 aggregates iteration counts into median/IQR rows.  It also owns the
-on-disk formats: dataset CSV and binary files, per-iteration trace CSV,
-and the benchmark result table.
+on-disk formats: the dataset binary, and the versioned CSV (write_csv,
+read_csv) behind every CSV file the package writes or reads.
 
 Seeding: every run's seed is derived from the base seed plus a hash of
 the cell coordinates (coherence, kappa power, s multiple, oracle, variant,
@@ -22,6 +22,7 @@ as infinity and render as "dnf"; medians and quartiles use the inverted-CDF
 
 import hashlib
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -249,14 +250,26 @@ def execute_run(spec: RunSpec) -> dict:
     return out
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(grid: ExperimentGrid, jobs: int = 1,
              keep_trace: bool = False) -> dict:
-    """Execute every run and aggregate; identical output for any jobs value."""
+    """Execute every run and aggregate; identical output for any jobs value.
+
+    Uses min(jobs, available CPUs, runs) workers, since a pool starts all
+    of its workers at once; with one worker the runs execute in-process.
+    """
     specs = expand_grid(grid, keep_trace=keep_trace)
-    if jobs <= 1:
+    workers = min(jobs, _available_cpus(), len(specs))
+    if workers <= 1:
         runs = [execute_run(spec) for spec in specs]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(execute_run, specs, chunksize=1))
     return {"rows": aggregate_rows(grid, runs), "runs": runs}
 
@@ -308,40 +321,51 @@ def rows_to_csv(grid: ExperimentGrid, rows: list) -> str:
         columns += ["%s_median" % variant, "%s_iqr" % variant]
     if grid.include_bfgs:
         columns += ["bfgs_median", "bfgs_iqr"]
-    lines = [CSV_VERSION, ",".join(columns)]
+    lines = []
     for row in rows:
         parts = []
         for col in columns:
             value = row[col]
             parts.append("%g" % value if isinstance(value, float) else str(value))
         lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    return _csv_text(columns, lines)
+
+
+def _csv_text(header, lines) -> str:
+    return "\n".join([CSV_VERSION, ",".join(header), *lines]) + "\n"
+
+
+def write_csv(path, header, lines) -> None:
+    """Versioned CSV: version comment, header fields, formatted lines."""
+    with open(path, "w") as fh:
+        fh.write(_csv_text(header, lines))
+
+
+def read_csv(path, what: str) -> list:
+    """Fields of each non-comment row, header first; ValueError if none."""
+    with open(path) as fh:
+        rows = [line.strip().split(",") for line in fh
+                if line.strip() and not line.startswith("#")]
+    if not rows:
+        raise ValueError("%s: empty %s file" % (path, what))
+    return rows
 
 
 def save_dataset_csv(path, ds: Dataset) -> None:
     """Dataset CSV: version comment, "n,d", n feature rows, one label row."""
-    lines = [CSV_VERSION, "%d,%d" % (ds.n, ds.d)]
-    for i in range(ds.n):
-        lines.append(",".join("%.17g" % v for v in ds.A[i]))
+    lines = [",".join("%.17g" % v for v in ds.A[i]) for i in range(ds.n)]
     lines.append(",".join("%d" % v for v in ds.b))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("%d" % ds.n, "%d" % ds.d), lines)
 
 
 def load_dataset_csv(path) -> Dataset:
-    with open(path) as fh:
-        rows = [line.strip() for line in fh
-                if line.strip() and not line.startswith("#")]
-    if not rows:
-        raise ValueError("%s: empty dataset file" % path)
-    n, d = (int(v) for v in rows[0].split(","))
+    rows = read_csv(path, "dataset")
+    n, d = (int(v) for v in rows[0])
     if len(rows) != n + 2:
         raise ValueError("%s: expected %d rows, found %d"
                          % (path, n + 2, len(rows)))
-    A = np.array([[float(v) for v in rows[1 + i].split(",")]
-                  for i in range(n)])
-    b = np.array([int(float(v)) for v in rows[n + 1].split(",")],
-                 dtype=np.int64)
+    A = np.array([[float(v) for v in rows[1 + i]] for i in range(n)])
+    b = np.array([int(float(v)) for v in rows[n + 1]], dtype=np.int64)
     return Dataset(A=A, b=b)
 
 
@@ -382,36 +406,28 @@ def load_dataset(path) -> Dataset:
 
 def save_trace_csv(path, records) -> None:
     """Per-iteration trace CSV with the versioned header."""
-    lines = [CSV_VERSION, ",".join(TRACE_COLUMNS)]
-    for r in records:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % (
+    write_csv(path, TRACE_COLUMNS, [
+        "%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % (
             r.t, r.f_value, r.grad_norm, r.hstar_error, r.stepsize,
-            int(r.skipped), r.backtracks))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            int(r.skipped), r.backtracks)
+        for r in records])
 
 
 def load_trace_csv(path) -> dict:
     """Trace CSV back as {column: array}."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh
-                if line.strip() and not line.startswith("#")]
-    if not rows:
-        raise ValueError("%s: empty trace file" % path)
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    if data.shape[1] != len(header):
+    header, *rows = read_csv(path, "trace")
+    if any(len(row) != len(header) for row in rows):
         raise ValueError("%s: ragged trace file" % path)
+    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    data = data.reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
 def ratio_series(errors: np.ndarray):
     """(index, ratio) arrays of consecutive error ratios e_{t+1}/e_t.
 
-    Same omission rule as the solver diagnostics: pairs touching an exact
-    zero are dropped.
+    Pairs touching an exact zero are dropped: once the error is exactly
+    zero the ratio carries no information.
     """
     errors = np.asarray(errors, dtype=float)
     prev, nxt = errors[:-1], errors[1:]

@@ -14,7 +14,7 @@ Subcommands:
 
 Exit codes: 0 ok, 1 I/O or execution failure, 2 usage, 3 oracle/objective
 capability mismatch, 4 theory precondition violation.  HESSAVG_JOBS sets
-the default for ``bench --jobs``.
+the default for ``bench --jobs``, which is capped at the available CPUs.
 """
 
 import argparse
@@ -144,15 +144,13 @@ def cmd_diag(args) -> int:
     if args.curves_out:
         offsets = np.unique(np.round(np.logspace(0.0, 6.0, 120)))
         offsets = np.concatenate(([0.0], offsets))
-        lines = [bench.CSV_VERSION, "t,rho_t,theta_t"]
-        for t in offsets:
-            lines.append("%d,%.17g,%.17g" % (
+        bench.write_csv(args.curves_out, ("t", "rho_t", "theta_t"), [
+            "%d,%.17g,%.17g" % (
                 int(t),
                 theory.rho_t(inputs, report.t_total, report.j_transition, t),
                 theory.theta_t(inputs, report.i_total,
-                               report.u_transition, t)))
-        with open(args.curves_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+                               report.u_transition, t))
+            for t in offsets])
     return 0
 
 
@@ -165,11 +163,8 @@ def cmd_rates(args) -> int:
         print("error: trace has fewer than 2 rows", file=sys.stderr)
         return 2
     idx, ratios = bench.ratio_series(errors)
-    lines = [bench.CSV_VERSION, "t,ratio"]
-    for i, r in zip(idx, ratios):
-        lines.append("%d,%.17g" % (i, r))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bench.write_csv(args.out, ("t", "ratio"),
+                    ["%d,%.17g" % (i, r) for i, r in zip(idx, ratios)])
     print("wrote %s (%d ratios)" % (args.out, len(ratios)))
     return 0
 
@@ -215,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--grid", required=True, help="grid config JSON")
     b.add_argument("--out", required=True,
                    help="output base path (writes .csv and .json)")
+    # A string default goes through type=int only when bench is parsed, so
+    # a malformed HESSAVG_JOBS is a bench usage error, not a crash elsewhere.
     b.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("HESSAVG_JOBS", "1")))
+                   default=os.environ.get("HESSAVG_JOBS", "1"))
     b.set_defaults(func=cmd_bench)
 
     dg = sub.add_parser("diag", help="transition-point calculators")

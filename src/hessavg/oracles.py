@@ -92,15 +92,6 @@ SKETCH_KINDS = (GaussianSketch, CountSketch, LessUniform)
 
 
 @dataclass
-class HessianEstimate:
-    """One oracle draw: a symmetric d x d matrix plus its provenance."""
-
-    matrix: np.ndarray
-    kind: object
-    draw_index: int = 0
-
-
-@dataclass
 class NoiseStats:
     """Summary of repeated oracle draws at a fixed point.
 
@@ -159,11 +150,11 @@ def sketch_matrix(kind, n: int, rng) -> np.ndarray:
     raise CapabilityError("not a sketch kind: %r" % (kind,))
 
 
-def estimate(kind, obj, x, rng, draw_index: int = 0) -> HessianEstimate:
-    """Draw one stochastic Hessian estimate at x."""
+def estimate(kind, obj, x, rng) -> np.ndarray:
+    """Draw one stochastic Hessian estimate at x: a symmetric d x d matrix."""
     kind = resolve_kind(kind, obj.dim)
     if isinstance(kind, Exact):
-        return HessianEstimate(obj.hessian(x), kind, draw_index)
+        return obj.hessian(x)
     if isinstance(kind, Subsample):
         _require_glm(obj, kind)
         ds = obj.dataset
@@ -171,8 +162,7 @@ def estimate(kind, obj, x, rng, draw_index: int = 0) -> HessianEstimate:
             raise ValueError("subsample size s exceeds the number of rows")
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
         l = obj.curvature_weights(x)
-        h = _glm_hessian(ds.A[idx], l[idx], float(kind.s), obj.reg_nu)
-        return HessianEstimate(h, kind, draw_index)
+        return _glm_hessian(ds.A[idx], l[idx], float(kind.s), obj.reg_nu)
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x)
@@ -181,7 +171,7 @@ def estimate(kind, obj, x, rng, draw_index: int = 0) -> HessianEstimate:
         h = SM.T @ SM
         h = 0.5 * (h + h.T)
         h[np.diag_indices_from(h)] += obj.reg_nu
-        return HessianEstimate(h, kind, draw_index)
+        return h
     raise CapabilityError("unknown oracle kind: %r" % (kind,))
 
 
@@ -217,9 +207,9 @@ def noise_sample(kind, obj, x, rng, count: int) -> NoiseStats:
     norms = np.empty(count)
     total = np.zeros_like(h_true)
     for i in range(count):
-        est = estimate(kind, obj, x, rng, draw_index=i)
-        total += est.matrix
-        norms[i] = spectral_norm(est.matrix - h_true)
+        est = estimate(kind, obj, x, rng)
+        total += est
+        norms[i] = spectral_norm(est - h_true)
     q90 = float(np.quantile(norms, 0.9))
     tail = norms[norms >= q90]
     upsilon = float(np.mean(tail - q90)) if tail.size else 0.0

@@ -216,8 +216,7 @@ def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
 
 
 @single_thread()
-def solve_reference(obj: Objective, x0, *, collect_iterates: list | None = None
-                    ) -> ReferenceSolution:
+def solve_reference(obj: Objective, x0) -> ReferenceSolution:
     """Damped Newton to ||grad f|| <= 1e-13, at most 200 iterations.
 
     Uses the same direction/line-search primitives as the stochastic solver
@@ -241,8 +240,6 @@ def solve_reference(obj: Objective, x0, *, collect_iterates: list | None = None
         if g_norm <= 1e-9 and g_norm >= 0.5 * prev_norm:
             break  # float64 rounding floor reached; polish takes over
         prev_norm = g_norm
-        if collect_iterates is not None:
-            collect_iterates.append(x.copy())
         p = newton_direction(obj.hessian(x), g)
         if p is None:
             raise RuntimeError("reference solve: Newton system not solvable "
@@ -273,8 +270,6 @@ def solve_reference(obj: Objective, x0, *, collect_iterates: list | None = None
             f"within {REF_MAX_ITER} iterations (final {grad_norm:.3e})")
     h_star = obj.hessian(x)
     h_star = 0.5 * (h_star + h_star.T)
-    if collect_iterates is not None:
-        collect_iterates.append(x.copy())
     return ReferenceSolution(x_star=x, h_star=h_star, grad_norm_at_star=grad_norm)
 
 

@@ -9,9 +9,9 @@ An iteration is skipped (x unchanged) when the averaged matrix has no
 Cholesky factorization, when the solved direction is not a descent
 direction, or when Armijo backtracking fails within the cap.
 
-``bfgs_run`` provides a deterministic quasi-Newton baseline with the same
-line search and stopping rule, and ``ratio_diagnostics`` extracts the
-per-iteration error contraction factors used to judge superlinear decay.
+``bfgs_run`` provides a deterministic quasi-Newton baseline.  Both solvers
+run one shared loop, so they have the same line search, records, stopping
+rule and non-finite guard; they differ only in how they pick a direction.
 """
 
 from dataclasses import dataclass, field
@@ -91,18 +91,13 @@ def newton_direction(h_tilde: np.ndarray, g: np.ndarray):
 
 def line_search(obj, x, p, beta: float = DEFAULT_BETA,
                 rho_backtrack: float = DEFAULT_RHO, *,
-                f0: float | None = None, g0: np.ndarray | None = None):
+                f0: float, g0: np.ndarray):
     """Armijo backtracking: smallest j >= 0 with
     f(x + rho^j p) <= f(x) + rho^j * beta * grad(x)^T p.
 
     Returns (stepsize, backtracks); stepsize is None when no j <= 60 works.
-    f0 and g0 optionally pass in the already-computed value and gradient
-    at x (pure efficiency, the result is identical).
+    f0 and g0 are the value and gradient at x, which callers already hold.
     """
-    if f0 is None:
-        f0 = obj.value(x)
-    if g0 is None:
-        g0 = obj.gradient(x)
     slope = float(g0 @ p)
     mu = 1.0
     for j in range(MAX_BACKTRACKS + 1):
@@ -110,6 +105,46 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
             return mu, j
         mu *= rho_backtrack
     return None, MAX_BACKTRACKS + 1
+
+
+def _descend(obj, x0, ref: ReferenceSolution, direction, *, beta: float,
+             rho_backtrack: float, max_iter: int, tol: float,
+             on_step=None) -> RunResult:
+    """The loop shared by ``run`` and ``bfgs_run``.
+
+    direction(x, g) gives a step or None (skip); on_step(s, y) sees each
+    accepted step s and its gradient change y.  Stops at H*-error <= tol,
+    after max_iter iterations, or once f or x is non-finite.
+    """
+    x = _as_vector(x0, obj.dim).copy()
+    f_cur = obj.value(x)
+    g_cur = obj.gradient(x)
+    records: list[IterationRecord] = []
+    for t in range(max_iter):
+        p = direction(x, g_cur)
+        stepsize, backtracks, skipped = 0.0, 0, True
+        if p is not None:
+            mu, backtracks = line_search(obj, x, p, beta, rho_backtrack,
+                                         f0=f_cur, g0=g_cur)
+            if mu is not None:
+                stepsize, skipped = mu, False
+                x_new = x + mu * p
+                g_new = obj.gradient(x_new)
+                if on_step is not None:
+                    on_step(x_new - x, g_new - g_cur)
+                x = x_new
+                f_cur = obj.value(x)
+                g_cur = g_new
+        err = hstar_error(x, ref)
+        records.append(IterationRecord(
+            t=t, f_value=f_cur, grad_norm=float(np.linalg.norm(g_cur)),
+            hstar_error=err, stepsize=stepsize, skipped=skipped,
+            backtracks=backtracks))
+        if not (np.isfinite(f_cur) and np.all(np.isfinite(x))):
+            break
+        if err <= tol:
+            return RunResult(records, True, t + 1, x)
+    return RunResult(records, False, None, x)
 
 
 @single_thread()
@@ -122,42 +157,21 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
     averaging_trace is a list, a copy of the averaged matrix is appended
     each iteration (testing hook).
     """
-    x = _as_vector(x0, obj.dim).copy()
     rng = np.random.default_rng([config.seed, 1])
     state = initial_state(obj.dim)
-    f_cur = obj.value(x)
-    g_cur = obj.gradient(x)
-    records: list[IterationRecord] = []
-    converged = False
-    iterations_to_tol = None
-    for t in range(config.max_iter):
-        h_hat = estimate(config.oracle, obj, x, rng, draw_index=t)
-        state = update(state, config.weights, h_hat)
+
+    def averaged_direction(x, g):
+        # The average is updated every iteration, skipped ones included.
+        nonlocal state
+        state = update(state, config.weights,
+                       estimate(config.oracle, obj, x, rng))
         if averaging_trace is not None:
             averaging_trace.append(state.h_tilde.copy())
-        p = newton_direction(state.h_tilde, g_cur)
-        stepsize, backtracks, skipped = 0.0, 0, True
-        if p is not None:
-            mu, j = line_search(obj, x, p, config.beta, config.rho_backtrack,
-                                f0=f_cur, g0=g_cur)
-            backtracks = j
-            if mu is not None:
-                stepsize, skipped = mu, False
-                x = x + mu * p
-                f_cur = obj.value(x)
-                g_cur = obj.gradient(x)
-        err = hstar_error(x, ref)
-        records.append(IterationRecord(
-            t=t, f_value=f_cur, grad_norm=float(np.linalg.norm(g_cur)),
-            hstar_error=err, stepsize=stepsize, skipped=skipped,
-            backtracks=backtracks))
-        if not (np.isfinite(f_cur) and np.all(np.isfinite(x))):
-            break
-        if err <= config.tol_hstar:
-            converged = True
-            iterations_to_tol = t + 1
-            break
-    return RunResult(records, converged, iterations_to_tol, x)
+        return newton_direction(state.h_tilde, g)
+
+    return _descend(obj, x0, ref, averaged_direction, beta=config.beta,
+                    rho_backtrack=config.rho_backtrack,
+                    max_iter=config.max_iter, tol=config.tol_hstar)
 
 
 @single_thread()
@@ -173,60 +187,22 @@ def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
     """
     if ref is None:
         raise ValueError("bfgs_run needs a reference solution")
-    x = _as_vector(x0, obj.dim).copy()
-    d = obj.dim
-    h_inv = np.eye(d)
-    f_cur = obj.value(x)
-    g_cur = obj.gradient(x)
-    records: list[IterationRecord] = []
-    converged = False
-    iterations_to_tol = None
-    for t in range(max_iter):
-        p = -(h_inv @ g_cur)
-        stepsize, backtracks, skipped = 0.0, 0, True
-        if float(g_cur @ p) < 0.0:
-            mu, j = line_search(obj, x, p, beta, rho_backtrack,
-                                f0=f_cur, g0=g_cur)
-            backtracks = j
-            if mu is not None:
-                stepsize, skipped = mu, False
-                x_new = x + mu * p
-                g_new = obj.gradient(x_new)
-                s = x_new - x
-                y = g_new - g_cur
-                sy = float(s @ y)
-                if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                    rho_sy = 1.0 / sy
-                    hy = h_inv @ y
-                    h_inv = (h_inv
-                             + ((sy + float(y @ hy)) * rho_sy ** 2) * np.outer(s, s)
-                             - rho_sy * (np.outer(hy, s) + np.outer(s, hy)))
-                x = x_new
-                f_cur = obj.value(x)
-                g_cur = g_new
-        err = hstar_error(x, ref)
-        records.append(IterationRecord(
-            t=t, f_value=f_cur, grad_norm=float(np.linalg.norm(g_cur)),
-            hstar_error=err, stepsize=stepsize, skipped=skipped,
-            backtracks=backtracks))
-        if not (np.isfinite(f_cur) and np.all(np.isfinite(x))):
-            break
-        if err <= tol:
-            converged = True
-            iterations_to_tol = t + 1
-            break
-    return RunResult(records, converged, iterations_to_tol, x)
+    h_inv = np.eye(obj.dim)
 
+    def quasi_newton_direction(x, g):
+        p = -(h_inv @ g)
+        return p if float(g @ p) < 0.0 else None
 
-def ratio_diagnostics(result: RunResult) -> np.ndarray:
-    """Consecutive error ratios e_{t+1}/e_t from the H*-metric trace.
+    def inverse_update(s, y):
+        nonlocal h_inv
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho_sy = 1.0 / sy
+            hy = h_inv @ y
+            h_inv = (h_inv
+                     + ((sy + float(y @ hy)) * rho_sy ** 2) * np.outer(s, s)
+                     - rho_sy * (np.outer(hy, s) + np.outer(s, hy)))
 
-    Pairs touching an exact zero are dropped (once the error is exactly
-    zero the ratio carries no information).
-    """
-    errs = np.array([r.hstar_error for r in result.records])
-    if errs.size < 2:
-        raise ValueError("need at least 2 records")
-    prev, nxt = errs[:-1], errs[1:]
-    mask = (prev > 0.0) & (nxt > 0.0)
-    return nxt[mask] / prev[mask]
+    return _descend(obj, x0, ref, quasi_newton_direction, beta=beta,
+                    rho_backtrack=rho_backtrack, max_iter=max_iter, tol=tol,
+                    on_step=inverse_update)

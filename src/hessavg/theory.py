@@ -5,7 +5,8 @@ stochastic Newton run changes behavior: the burn-in length t1, the linear
 phase length t2, the superlinear onset, and the point where averaging noise
 finally dominates.  They operate on a small bundle of problem constants
 (condition number, noise level, weight sequence, line-search parameters)
-and are used by the CLI to print predicted-versus-observed comparisons.
+and are used by the CLI's ``diag`` command, which prints the predicted
+transition points, their self-checks, and sampled rate curves.
 
 Quantities defined through implicit inequalities are solved numerically on
 the integer grid (doubling plus bisection) rather than through asymptotic
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import LastOnly, Uniform, growth_ratio, log_weight
+from .averaging import LastOnly, growth_ratio, log_weight
 
 NEVER = math.inf
 
@@ -123,17 +124,12 @@ def t2(inputs: TheoryInputs) -> float:
     """Linear phase length log(3 L^2 gap / (nu^2 lambda^3)) / phi, >= 0.
 
     A log argument at or below 1 means the start point is already inside
-    the target neighborhood; the result clamps to 0 (see t2_is_clamped).
+    the target neighborhood; the result clamps to 0 (reported as t2_clamped).
     """
     arg = _t2_log_argument(inputs)
     if arg <= 1.0:
         return 0.0
     return math.log(arg) / phi_rate(inputs)
-
-
-def t2_is_clamped(inputs: TheoryInputs) -> bool:
-    """True when the t2 formula clamps to zero."""
-    return _t2_log_argument(inputs) <= 1.0
 
 
 def j_transition(inputs: TheoryInputs, t_total: float) -> float:
@@ -149,11 +145,17 @@ def rho_t(inputs: TheoryInputs, t_total: float, j: float, t: float) -> float:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    first, second = _rho_terms(inputs, t_total, j, t)
+    return first + second
+
+
+def _rho_terms(inputs: TheoryInputs, t_total: float, j: float, t: float):
+    """rho_t's (structural, noise) terms at offset t."""
     n = t_total + j + t + 1.0
     first = 4.0 * t_total * inputs.kappa / n
     second = 8.0 * inputs.upsilon * math.sqrt(
         math.log(inputs.d * n / inputs.delta) / n)
-    return first + second
+    return first, second
 
 
 def k_transition(inputs: TheoryInputs, t_total: float, j: float) -> float:
@@ -164,15 +166,26 @@ def k_transition(inputs: TheoryInputs, t_total: float, j: float) -> float:
     """
     if inputs.upsilon == 0.0:
         return NEVER
-    lead = (t_total ** 2 * inputs.kappa ** 2
+    return max(0.0, _k_lead(inputs, t_total) - t_total - j)
+
+
+def _k_lead(inputs: TheoryInputs, t_total: float) -> float:
+    """K's lead term T^2 kappa^2 / (4 U^2 log(d T / delta))."""
+    return (t_total ** 2 * inputs.kappa ** 2
             / (4.0 * inputs.upsilon ** 2
                * math.log(inputs.d * t_total / inputs.delta)))
-    return max(0.0, lead - t_total - j)
 
 
 def _i1_expression(inputs: TheoryInputs, t: int) -> float:
     return (math.log(inputs.d * (t + 1) / inputs.delta)
             * growth_ratio(inputs.weights, t))
+
+
+def _i1_threshold(inputs: TheoryInputs) -> float:
+    """(eps/(8*Psi*U) ^ 1)^2, the level _i1_expression must drop below."""
+    a = (min(inputs.epsilon / (8.0 * inputs.psi * inputs.upsilon), 1.0)
+         if inputs.upsilon > 0.0 else 1.0)
+    return a * a
 
 
 def i1(inputs: TheoryInputs) -> float:
@@ -185,11 +198,7 @@ def i1(inputs: TheoryInputs) -> float:
     by doubling, a ternary pass for the peak, and bisection on the
     decreasing flank.
     """
-    if inputs.upsilon > 0.0:
-        a = min(inputs.epsilon / (8.0 * inputs.psi * inputs.upsilon), 1.0)
-    else:
-        a = 1.0
-    thr = a * a
+    thr = _i1_threshold(inputs)
 
     def expr(t):
         return _i1_expression(inputs, t)
@@ -227,8 +236,7 @@ def u_transition(inputs: TheoryInputs, i_total: float) -> float:
     0 when the target is already below w(I).
     """
     seq = inputs.weights
-    target_log = (math.log(2.0 * inputs.kappa / inputs.radius_nu)
-                  + log_weight(seq, i_total - 1.0))
+    target_log = _u_target_log(inputs, i_total)
     if log_weight(seq, i_total) >= target_log:
         return 0.0
     hi = 1.0
@@ -248,6 +256,12 @@ def u_transition(inputs: TheoryInputs, i_total: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _u_target_log(inputs: TheoryInputs, i_total: float) -> float:
+    """ln of the u target 2 w(I-1) kappa / nu."""
+    return (math.log(2.0 * inputs.kappa / inputs.radius_nu)
+            + log_weight(inputs.weights, i_total - 1.0))
 
 
 def theta_t(inputs: TheoryInputs, i_total: float, u: float, t: float) -> float:
@@ -277,34 +291,39 @@ def v_transition(inputs: TheoryInputs, i_total: float, u: float) -> float:
     """
     if inputs.upsilon == 0.0:
         return NEVER
-    seq = inputs.weights
-    rhs_log = (2.0 * log_weight(seq, i_total - 1.0)
-               + 2.0 * math.log(inputs.kappa
-                                / (inputs.psi * inputs.upsilon)))
-
-    def lhs_log(t):
-        g = growth_ratio(seq, t)
-        if g <= 0.0:
-            return -math.inf
-        return (2.0 * log_weight(seq, t) + math.log(g)
-                + math.log(math.log(inputs.d * (t + 1.0) / inputs.delta)))
-
+    rhs_log = _v_rhs_log(inputs, i_total)
     start = max(0, math.ceil(i_total + u))
-    if lhs_log(start) >= rhs_log:
+    if _v_lhs_log(inputs, start) >= rhs_log:
         return float(start)
     hi = max(start, 1)
-    while lhs_log(hi) < rhs_log:
+    while _v_lhs_log(inputs, hi) < rhs_log:
         hi *= 2
         if hi > _BRACKET_LIMIT:
             raise RuntimeError("averaging noise never dominates")
     lo = start
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if lhs_log(mid) < rhs_log:
+        if _v_lhs_log(inputs, mid) < rhs_log:
             lo = mid
         else:
             hi = mid
     return float(hi)
+
+
+def _v_lhs_log(inputs: TheoryInputs, t: float) -> float:
+    """ln of v's left side w(t) w'(t) log(d(t+1)/delta), as 2 ln w + ln g."""
+    seq = inputs.weights
+    g = growth_ratio(seq, t)
+    if g <= 0.0:
+        return -math.inf
+    return (2.0 * log_weight(seq, t) + math.log(g)
+            + math.log(math.log(inputs.d * (t + 1.0) / inputs.delta)))
+
+
+def _v_rhs_log(inputs: TheoryInputs, i_total: float) -> float:
+    """ln of v's right side w(I-1)^2 kappa^2 / (Psi^2 U^2)."""
+    return (2.0 * log_weight(inputs.weights, i_total - 1.0)
+            + 2.0 * math.log(inputs.kappa / (inputs.psi * inputs.upsilon)))
 
 
 def freedman_bound(eta: float, upsilon_e: float, z, d: int = 1) -> float:
@@ -356,7 +375,7 @@ def transition_report(inputs: TheoryInputs) -> TransitionReport:
     return TransitionReport(
         t1=v_t1, t2=v_t2, t_total=t_total, j_transition=j, k_transition=k,
         i1=v_i1, i_total=i_total, u_transition=u, v_transition=v,
-        t2_clamped=t2_is_clamped(inputs))
+        t2_clamped=_t2_log_argument(inputs) <= 1.0)
 
 
 def substitute_back_checks(inputs: TheoryInputs,
@@ -391,9 +410,7 @@ def substitute_back_checks(inputs: TheoryInputs,
         checks["k_identity"] = True
         checks["k_noise_dominates"] = True
     else:
-        lead = (report.t_total ** 2 * inputs.kappa ** 2
-                / (4.0 * inputs.upsilon ** 2
-                   * math.log(inputs.d * report.t_total / inputs.delta)))
+        lead = _k_lead(inputs, report.t_total)
         if report.k_transition == 0.0:
             checks["k_identity"] = (
                 lead - report.t_total - report.j_transition <= 1e-9 * lead)
@@ -401,28 +418,20 @@ def substitute_back_checks(inputs: TheoryInputs,
             total = (report.t_total + report.j_transition
                      + report.k_transition + 1.0)
             checks["k_identity"] = abs(total - lead) <= 1.0 + 1e-6 * lead
-        tk = math.ceil(report.k_transition)
-        n = report.t_total + report.j_transition + tk + 1.0
-        first = 4.0 * report.t_total * inputs.kappa / n
-        second = 8.0 * inputs.upsilon * math.sqrt(
-            math.log(inputs.d * n / inputs.delta) / n)
+        first, second = _rho_terms(inputs, report.t_total, report.j_transition,
+                                   math.ceil(report.k_transition))
         checks["k_noise_dominates"] = second >= first * (1.0 - 1e-9)
 
-    if inputs.upsilon > 0.0:
-        a = min(inputs.epsilon / (8.0 * inputs.psi * inputs.upsilon), 1.0)
-    else:
-        a = 1.0
-    thr = a * a
+    thr = _i1_threshold(inputs)
     i1_val = int(report.i1)
     below = _i1_expression(inputs, i1_val) < thr
     at_prev = (i1_val == 0
                or _i1_expression(inputs, i1_val - 1) >= thr)
     checks["i1_boundary"] = below and at_prev
 
-    seq = inputs.weights
-    target_log = (math.log(2.0 * inputs.kappa / inputs.radius_nu)
-                  + log_weight(seq, report.i_total - 1.0))
-    achieved_log = log_weight(seq, report.i_total + report.u_transition)
+    target_log = _u_target_log(inputs, report.i_total)
+    achieved_log = log_weight(inputs.weights,
+                              report.i_total + report.u_transition)
     if report.u_transition == 0.0:
         checks["u_equation"] = achieved_log >= target_log - 1e-9
     else:
@@ -431,21 +440,11 @@ def substitute_back_checks(inputs: TheoryInputs,
     if math.isinf(report.v_transition):
         checks["v_boundary"] = True
     else:
-        rhs_log = (2.0 * log_weight(seq, report.i_total - 1.0)
-                   + 2.0 * math.log(inputs.kappa
-                                    / (inputs.psi * inputs.upsilon)))
-
-        def lhs_log(tt):
-            g = growth_ratio(seq, tt)
-            if g <= 0.0:
-                return -math.inf
-            return (2.0 * log_weight(seq, tt) + math.log(g)
-                    + math.log(math.log(inputs.d * (tt + 1.0) / inputs.delta)))
-
+        rhs_log = _v_rhs_log(inputs, report.i_total)
         v = report.v_transition
         start = max(0, math.ceil(report.i_total + report.u_transition))
-        holds = lhs_log(v) >= rhs_log - 1e-9
-        minimal = v == start or lhs_log(v - 1) < rhs_log
+        holds = _v_lhs_log(inputs, v) >= rhs_log - 1e-9
+        minimal = v == start or _v_lhs_log(inputs, v - 1) < rhs_log
         checks["v_boundary"] = holds and minimal
 
     offsets = np.unique(np.round(np.logspace(0.0, 6.0, 60))).astype(float)

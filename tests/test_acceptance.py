@@ -157,7 +157,7 @@ def test_criterion_6_averaged_noise_decay():
     state = averaging.initial_state(100)
     ts, norms = [], []
     for t in range(10 ** 4):
-        state = averaging.update(state, seq, estimate(kind, obj, x, rng, t))
+        state = averaging.update(state, seq, estimate(kind, obj, x, rng))
         if (t + 1) in cp:
             ts.append(t + 1)
             norms.append(spectral_norm(state.h_tilde - h_true))
@@ -214,7 +214,7 @@ def test_criterion_7_property_suites(tmp_path):
     N = 3000
     draws = np.empty((N, 8, 8))
     for i in range(N):
-        draws[i] = estimate(Subsample(12), obj8, x8, rng, i).matrix
+        draws[i] = estimate(Subsample(12), obj8, x8, rng)
     mean = draws.mean(axis=0)
     se = np.maximum(draws.std(axis=0, ddof=1) / math.sqrt(N), 1e-30)
     results["oracle_unbiasedness_4sigma"] = (
@@ -245,7 +245,7 @@ def test_criterion_7_property_suites(tmp_path):
 
     # Subsampling every row reproduces the exact Hessian.
     est = estimate(Subsample(120), obj9, x9, np.random.default_rng(0))
-    results["full_sample_exactness"] = np.array_equal(est.matrix,
+    results["full_sample_exactness"] = np.array_equal(est,
                                                       obj9.hessian(x9))
 
     # Skip rule: singular averaged estimates leave the iterate in place,

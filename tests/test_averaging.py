@@ -85,7 +85,6 @@ def test_logpower_normalized_weights_frozen():
 def test_initial_state():
     st = initial_state(4)
     assert st.t == -1
-    assert st.w_prev == 0.0
     assert np.all(st.h_tilde == 0.0)
     assert st.h_tilde.shape == (4, 4)
 
@@ -113,7 +112,6 @@ def test_state_progression():
     for t in range(5):
         st = update(st, seq, np.eye(2))
         assert st.t == t
-        assert st.w_prev == weight(seq, t)
 
 
 def test_online_update_matches_batch_weights():

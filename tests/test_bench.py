@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hessavg import bench
 from hessavg.averaging import LastOnly, LogPower, Uniform
 from hessavg.bench import (CSV_VERSION, DNF, ExperimentGrid, RunSpec,
                            aggregate_rows, execute_run, expand_grid,
@@ -150,6 +151,41 @@ def test_run_failures_are_captured():
     assert "ValueError" in out["error"]
     assert out["iterations"] is None
     assert not out["converged"]
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (10_000, 2, [2]),     # capped at the CPUs available
+    (10_000, 64, [9]),    # capped at the grid's 9 runs
+    (3, 64, [3]),         # jobs itself is the smallest
+    (10_000, 1, []),      # one worker: runs in-process, no pool
+])
+def test_grid_workers_are_capped(tiny_outcome, monkeypatch, jobs, cpus,
+                                 expected):
+    grid, serial = tiny_outcome
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(bench, "_available_cpus", lambda: cpus)
+    SerialPool.created = []
+    outcome = run_grid(grid, jobs=jobs)
+    assert SerialPool.created == expected
+    assert outcome == serial
 
 
 def test_median_is_lower_median(tiny_outcome):

@@ -198,6 +198,30 @@ def test_rates_short_trace_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_rates_ragged_trace_names_the_file(tmp_path, capsys):
+    trace = tmp_path / "ragged.csv"
+    trace.write_text("%s\nt,hstar_error\n0,1.0\n1,0.5,9\n2,0.25\n"
+                     % CSV_VERSION)
+    code = main(["rates", "--trace", str(trace), "--out",
+                 str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(trace) in err
+    assert "ragged" in err
+
+
+def test_malformed_jobs_env_only_affects_bench(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HESSAVG_JOBS", "abc")
+    assert main(gen_args(tmp_path / "data")) == 0
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(TINY_GRID))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--grid", str(grid), "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 DIAG_DEFAULTS = ["diag", "--kappa", "10", "--lambda-min", "1e-3",
                  "--upsilon", "0.1", "--epsilon", "0.5", "--delta", "0.01",
                  "--d", "100", "--radius-nu", "0.5", "--lipschitz", "1",

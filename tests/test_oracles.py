@@ -5,7 +5,7 @@ import pytest
 
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CapabilityError, CountSketch, Exact,
-                             GaussianSketch, HessianEstimate, LessUniform,
+                             GaussianSketch, LessUniform,
                              Subsample, estimate, noise_sample, resolve_kind,
                              sketch_matrix, spectral_norm)
 from hessavg.problem import QuadraticTest, RegularizedLogistic
@@ -22,21 +22,21 @@ def test_exact_oracle_returns_true_hessian():
     obj = glm_instance()
     x = np.linspace(-0.5, 0.5, 8)
     est = estimate(Exact(), obj, x, np.random.default_rng(0))
-    assert np.array_equal(est.matrix, obj.hessian(x))
+    assert np.array_equal(est, obj.hessian(x))
 
 
 def test_exact_oracle_works_on_quadratic():
     Q = np.diag([2.0, 3.0])
     obj = QuadraticTest(Q, np.zeros(2))
     est = estimate(Exact(), obj, np.ones(2), np.random.default_rng(0))
-    assert np.array_equal(est.matrix, Q)
+    assert np.array_equal(est, Q)
 
 
 def test_subsample_full_sample_is_exact():
     obj = glm_instance(n=120, d=9, seed=21)
     x = np.cos(np.arange(9.0))
     est = estimate(Subsample(120), obj, x, np.random.default_rng(0))
-    assert np.array_equal(est.matrix, obj.hessian(x))
+    assert np.array_equal(est, obj.hessian(x))
 
 
 def test_oracle_unbiasedness_monte_carlo():
@@ -51,7 +51,7 @@ def test_oracle_unbiasedness_monte_carlo():
         N = 3000
         draws = np.empty((N, 8, 8))
         for i in range(N):
-            draws[i] = estimate(kind, obj, x, rng, i).matrix
+            draws[i] = estimate(kind, obj, x, rng)
         mean = draws.mean(axis=0)
         se = np.maximum(draws.std(axis=0, ddof=1) / math.sqrt(N), 1e-30)
         worst = float(np.max(np.abs(mean - H) / se))
@@ -148,7 +148,7 @@ def test_estimates_are_symmetric():
     rng = np.random.default_rng(17)
     for kind in (Exact(), Subsample(12), GaussianSketch(10), CountSketch(10),
                  LessUniform(10)):
-        m = estimate(kind, obj, x, rng).matrix
+        m = estimate(kind, obj, x, rng)
         assert np.array_equal(m, m.T)
 
 
@@ -157,18 +157,9 @@ def test_estimate_determinism():
     x = np.zeros(8)
     for kind in (Subsample(12), GaussianSketch(10), CountSketch(10),
                  LessUniform(10)):
-        a = estimate(kind, obj, x, np.random.default_rng(123)).matrix
-        b = estimate(kind, obj, x, np.random.default_rng(123)).matrix
+        a = estimate(kind, obj, x, np.random.default_rng(123))
+        b = estimate(kind, obj, x, np.random.default_rng(123))
         assert np.array_equal(a, b)
-
-
-def test_estimate_metadata():
-    obj = glm_instance()
-    est = estimate(Subsample(12), obj, np.zeros(8), np.random.default_rng(0),
-                   draw_index=5)
-    assert isinstance(est, HessianEstimate)
-    assert est.draw_index == 5
-    assert est.kind == Subsample(12)
 
 
 def test_spectral_norm_small_matrices():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hessavg.averaging import LastOnly, LogPower, Uniform
+from hessavg.bench import ratio_series
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import Exact, Subsample
 from hessavg.problem import (QuadraticTest, ReferenceSolution,
                              RegularizedLogistic, solve_reference)
-from hessavg.solver import (SolverConfig, bfgs_run, newton_direction,
-                            ratio_diagnostics, run)
+from hessavg.solver import SolverConfig, bfgs_run, newton_direction, run
 
 
 def quadratic_setup():
@@ -191,12 +191,41 @@ def test_bfgs_on_quadratic():
     assert np.sqrt(delta @ ref.h_star @ delta) <= 1e-8
 
 
+class NaNValueQuadratic(QuadraticTest):
+    """A quadratic whose value is NaN everywhere (failure injection)."""
+
+    def value(self, x):
+        return float("nan")
+
+
+@pytest.mark.parametrize("solve", ["run", "bfgs_run"])
+def test_nan_objective_value_stops_after_one_skipped_step(solve):
+    obj, ref = quadratic_setup()
+    obj = NaNValueQuadratic(obj.Q, obj.c)
+    if solve == "run":
+        config = SolverConfig(oracle=Exact(), weights=Uniform(), max_iter=20,
+                              tol_hstar=1e-12, seed=0)
+        result = run(obj, np.zeros(6), config, ref)
+    else:
+        result = bfgs_run(obj, np.zeros(6), max_iter=20, tol=1e-12, ref=ref)
+    # NaN fails every Armijo comparison, so the search exhausts its 60
+    # halvings; the non-finite guard then ends the run after that record.
+    assert len(result.records) == 1
+    rec = result.records[0]
+    assert rec.skipped
+    assert rec.backtracks == 61
+    assert rec.stepsize == 0.0
+    assert not result.converged
+    assert result.iterations_to_tol is None
+    assert np.array_equal(result.final_x, np.zeros(6))
+
+
 def test_ratio_diagnostics():
     obj, ref = logistic_setup()
     config = SolverConfig(oracle=Exact(), weights=LastOnly(), max_iter=50,
                           tol_hstar=1e-10, seed=0)
     result = run(obj, np.zeros(10), config, ref)
-    ratios = ratio_diagnostics(result)
     errs = [r.hstar_error for r in result.records]
+    _, ratios = ratio_series(errs)
     assert len(ratios) <= len(errs) - 1
     assert np.all(ratios > 0.0)

@@ -218,7 +218,7 @@ def test_empirical_concentration_of_averaged_noise():
     running = np.zeros_like(H)
     norms = np.empty(T + 1)
     for t in range(T + 1):
-        running += estimate(kind, obj, x, rng, t).matrix - H
+        running += estimate(kind, obj, x, rng) - H
         norms[t] = spectral_norm(running / (t + 1))
 
     violations = 0

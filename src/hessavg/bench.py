@@ -31,10 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from .averaging import LastOnly, LogPower, Uniform
-from .datagen import DataGenConfig, generate
+from .datagen import COHERENCE_MODES, DataGenConfig, generate
 from .oracles import CountSketch, Exact, GaussianSketch, LessUniform, Subsample
 from .problem import Dataset, RegularizedLogistic, solve_reference
-from .solver import SolverConfig, bfgs_run, run
+from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
+                     bfgs_run, check_armijo, run)
 
 CSV_VERSION = "# hessavg-csv v1"
 BIN_MAGIC = b"HAVG1"
@@ -42,43 +43,39 @@ DNF = "dnf"
 TRACE_COLUMNS = ("t", "f", "grad_norm", "hstar_error", "stepsize",
                  "skipped", "backtracks")
 
-VARIANTS = ("noavg", "unifavg", "weightavg")
-ORACLES = ("exact", "subsample", "gauss", "countsketch", "less")
-
-
 # The weighted variant grows w(t) as (t+1)^{log10(t+1)}.  The natural-base
 # sequence puts roughly 2 ln(t) / t of the weight on the newest estimate,
 # which at benchmark scale (tolerance 1e-6 is reached near t = 25) leaves
 # too little averaging to damp the per-draw noise of the sketching oracles;
 # the base-10 exponent keeps the same eventual growth class while widening
 # the window enough for those cells to finish contracting.
-WEIGHTAVG_WEIGHTS = LogPower(scale=1.0 / math.log(10.0))
+_WEIGHTS_BY_VARIANT = {
+    "noavg": LastOnly(),
+    "unifavg": Uniform(),
+    "weightavg": LogPower(scale=1.0 / math.log(10.0)),
+}
+# Each builder takes the sample/sketch size s; the oracle checks it.
+_ORACLES_BY_NAME = {
+    "exact": lambda s: Exact(),
+    "subsample": Subsample,
+    "gauss": GaussianSketch,
+    "countsketch": CountSketch,
+    "less": LessUniform,
+}
+VARIANTS = tuple(_WEIGHTS_BY_VARIANT)
+ORACLES = tuple(_ORACLES_BY_NAME)
 
 
 def weights_for_variant(name: str):
-    if name == "noavg":
-        return LastOnly()
-    if name == "unifavg":
-        return Uniform()
-    if name == "weightavg":
-        return WEIGHTAVG_WEIGHTS
-    raise ValueError("unknown variant %r" % (name,))
+    if name not in _WEIGHTS_BY_VARIANT:
+        raise ValueError("unknown variant %r" % (name,))
+    return _WEIGHTS_BY_VARIANT[name]
 
 
 def oracle_for_name(name: str, s: int):
-    if name == "exact":
-        return Exact()
-    if s < 1:
-        raise ValueError("oracle %r needs a sample/sketch size s >= 1" % name)
-    if name == "subsample":
-        return Subsample(s)
-    if name == "gauss":
-        return GaussianSketch(s)
-    if name == "countsketch":
-        return CountSketch(s)
-    if name == "less":
-        return LessUniform(s)
-    raise ValueError("unknown oracle %r" % (name,))
+    if name not in _ORACLES_BY_NAME:
+        raise ValueError("unknown oracle %r" % (name,))
+    return _ORACLES_BY_NAME[name](s)
 
 
 @dataclass
@@ -92,14 +89,14 @@ class ExperimentGrid:
     variants: list = field(default_factory=lambda: list(VARIANTS))
     num_seeds: int = 50
     base_seed: int = 0
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
     max_iter: int = 999
     n: int = 1000
     d: int = 100
     reg_nu: float = 1e-3
     include_bfgs: bool = False
-    beta: float = 1e-4
-    rho: float = 0.5
+    beta: float = DEFAULT_BETA
+    rho: float = DEFAULT_RHO
 
     def __post_init__(self):
         if self.num_seeds < 1:
@@ -108,8 +105,9 @@ class ExperimentGrid:
             raise ValueError("tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
+        check_armijo(self.beta, self.rho)
         for mode in self.coherence_modes:
-            if mode not in ("low", "high"):
+            if mode not in COHERENCE_MODES:
                 raise ValueError("unknown coherence mode %r" % (mode,))
         for name in self.oracle_kinds:
             if name not in ORACLES:
@@ -279,7 +277,7 @@ def _cell_quantiles(values):
     arr = np.array([np.inf if v is None else float(v) for v in values])
     q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method="inverted_cdf")
     med_out = int(med) if np.isfinite(med) else DNF
-    iqr_out = int(q3 - q1) if np.isfinite(q3 - q1) else DNF
+    iqr_out = int(q3 - q1) if np.isfinite(q3) else DNF
     return med_out, iqr_out
 
 
@@ -360,13 +358,17 @@ def save_dataset_csv(path, ds: Dataset) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     rows = read_csv(path, "dataset")
-    n, d = (int(v) for v in rows[0])
-    if len(rows) != n + 2:
-        raise ValueError("%s: expected %d rows, found %d"
-                         % (path, n + 2, len(rows)))
-    A = np.array([[float(v) for v in rows[1 + i]] for i in range(n)])
-    b = np.array([int(float(v)) for v in rows[n + 1]], dtype=np.int64)
-    return Dataset(A=A, b=b)
+    try:
+        n, d = (int(v) for v in rows[0])
+        if (len(rows) != n + 2 or len(rows[-1]) != n
+                or any(len(row) != d for row in rows[1:-1])):
+            raise ValueError("expected %d rows of %d fields, then %d labels"
+                             % (n, d, n))
+        A = np.array([[float(v) for v in rows[1 + i]] for i in range(n)])
+        b = np.array([int(float(v)) for v in rows[n + 1]], dtype=np.int64)
+        return Dataset(A=A, b=b)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def save_dataset_binary(path, ds: Dataset) -> None:

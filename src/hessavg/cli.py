@@ -26,10 +26,10 @@ import numpy as np
 
 from . import bench, theory
 from .averaging import LogPower, Power, Uniform, psi_bound
-from .datagen import DataGenConfig, generate
+from .datagen import COHERENCE_MODES, DataGenConfig, generate
 from .oracles import CapabilityError
 from .problem import RegularizedLogistic, solve_reference
-from .solver import SolverConfig, run
+from .solver import DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig, run
 
 
 def _strip_known_suffix(path: str) -> str:
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic logistic dataset")
     g.add_argument("--n", type=int, default=1000)
     g.add_argument("--d", type=int, default=100)
-    g.add_argument("--coherence", choices=("low", "high"), default="low")
+    g.add_argument("--coherence", choices=COHERENCE_MODES, default="low")
     g.add_argument("--kappa", type=float, default=100.0,
                    help="target condition number of the data matrix")
     g.add_argument("--reg-nu", type=float, default=1e-3)
@@ -195,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", type=int, default=0,
                    help="subsample/sketch size (required unless exact)")
     s.add_argument("--variant", choices=bench.VARIANTS, default="unifavg")
-    s.add_argument("--beta", type=float, default=1e-4)
-    s.add_argument("--rho", type=float, default=0.5)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    s.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
     s.add_argument("--max-iter", type=int, default=999)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--reg-nu", type=float, default=1e-3,
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--delta", type=float, default=0.01)
     dg.add_argument("--d", type=int, default=100)
     dg.add_argument("--radius-nu", type=float, default=0.5)
-    dg.add_argument("--beta", type=float, default=1e-4)
-    dg.add_argument("--rho", type=float, default=0.5)
+    dg.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    dg.add_argument("--rho", type=float, default=DEFAULT_RHO)
     dg.add_argument("--lipschitz", type=float, default=1.0)
     dg.add_argument("--f0-gap", type=float, default=1.0)
     dg.add_argument("--psi", type=float, default=None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import _glm_hessian
+from .problem import _glm_hessian, _symmetrize_add_nu
 
 POWER_ITERS = 50
 POWER_TOL = 1e-10
@@ -36,40 +36,31 @@ class Exact:
 
 
 @dataclass(frozen=True)
-class Subsample:
+class _Sized:
+    """Base of the oracles that draw s rows or sketch down to s rows."""
+
+    s: int
+
+    def __post_init__(self):
+        if self.s < 1:
+            raise ValueError("%s oracle needs a sample/sketch size s >= 1, "
+                             "got %r" % (type(self).__name__, self.s))
+
+
+class Subsample(_Sized):
     """Subsampled Hessian from s data rows drawn without replacement."""
 
-    s: int
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("sample size s must be >= 1")
-
-
-@dataclass(frozen=True)
-class GaussianSketch:
+class GaussianSketch(_Sized):
     """Sketch with i.i.d. N(0, 1/s) entries."""
 
-    s: int
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("sketch size s must be >= 1")
-
-
-@dataclass(frozen=True)
-class CountSketch:
+class CountSketch(_Sized):
     """Sketch with one +-1 entry per column, placed in a uniform row."""
 
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("sketch size s must be >= 1")
-
 
 @dataclass(frozen=True)
-class LessUniform:
+class LessUniform(_Sized):
     """Sparse sketch with a fixed number of +-c nonzeros per row.
 
     Each of the s rows carries nnz_per_row nonzeros at distinct uniform
@@ -78,12 +69,10 @@ class LessUniform:
     ceil(0.1*d) at estimation time.
     """
 
-    s: int
     nnz_per_row: int | None = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("sketch size s must be >= 1")
+        super().__post_init__()
         if self.nnz_per_row is not None and self.nnz_per_row < 1:
             raise ValueError("nnz_per_row must be >= 1")
 
@@ -168,10 +157,7 @@ def estimate(kind, obj, x, rng) -> np.ndarray:
         M = obj.glm_square_root(x)
         S = sketch_matrix(kind, M.shape[0], rng)
         SM = S @ M
-        h = SM.T @ SM
-        h = 0.5 * (h + h.T)
-        h[np.diag_indices_from(h)] += obj.reg_nu
-        return h
+        return _symmetrize_add_nu(SM.T @ SM, obj.reg_nu)
     raise CapabilityError("unknown oracle kind: %r" % (kind,))
 
 

@@ -85,7 +85,11 @@ def _glm_hessian(rows: np.ndarray, weights: np.ndarray, denom: float,
     Shared by the exact Hessian and the subsampled oracle so that a full
     subsample (s = n) reproduces the exact Hessian bit for bit.
     """
-    h = rows.T @ (weights[:, None] * rows) / denom
+    return _symmetrize_add_nu(rows.T @ (weights[:, None] * rows) / denom, nu)
+
+
+def _symmetrize_add_nu(h: np.ndarray, nu: float) -> np.ndarray:
+    """(h + h^T) / 2 + nu*I, the tail shared with the sketching oracles."""
     h = 0.5 * (h + h.T)
     h[np.diag_indices_from(h)] += nu
     return h

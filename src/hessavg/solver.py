@@ -26,7 +26,16 @@ from .problem import ReferenceSolution, _as_vector, hstar_error
 
 DEFAULT_BETA = 1e-4
 DEFAULT_RHO = 0.5
+DEFAULT_TOL = 1e-6
 MAX_BACKTRACKS = 60
+
+
+def check_armijo(beta: float, rho: float) -> None:
+    """Range check of the Armijo parameters: beta in (0, 1/2), rho in (0, 1)."""
+    if not 0.0 < beta < 0.5:
+        raise ValueError("beta must lie in (0, 1/2)")
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
 
 
 @dataclass
@@ -36,16 +45,13 @@ class SolverConfig:
     beta: float = DEFAULT_BETA
     rho_backtrack: float = DEFAULT_RHO
     max_iter: int = 500
-    tol_hstar: float = 1e-6
+    tol_hstar: float = DEFAULT_TOL
     oracle: object = field(default_factory=Exact)
     weights: object = field(default_factory=Uniform)
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError("beta must lie in (0, 1/2)")
-        if not 0.0 < self.rho_backtrack < 1.0:
-            raise ValueError("rho_backtrack must lie in (0, 1)")
+        check_armijo(self.beta, self.rho_backtrack)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol_hstar < 0:
@@ -148,14 +154,11 @@ def _descend(obj, x0, ref: ReferenceSolution, direction, *, beta: float,
 
 
 @single_thread()
-def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
-        averaging_trace: list | None = None) -> RunResult:
+def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
     """Run the averaged stochastic Newton loop from x0.
 
     Stops once the H*-metric error drops to config.tol_hstar (checked after
-    every update) or after config.max_iter iterations.  When
-    averaging_trace is a list, a copy of the averaged matrix is appended
-    each iteration (testing hook).
+    every update) or after config.max_iter iterations.
     """
     rng = np.random.default_rng([config.seed, 1])
     state = initial_state(obj.dim)
@@ -165,8 +168,6 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
         nonlocal state
         state = update(state, config.weights,
                        estimate(config.oracle, obj, x, rng))
-        if averaging_trace is not None:
-            averaging_trace.append(state.h_tilde.copy())
         return newton_direction(state.h_tilde, g)
 
     return _descend(obj, x0, ref, averaged_direction, beta=config.beta,
@@ -177,7 +178,7 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution,
 @single_thread()
 def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
              rho_backtrack: float = DEFAULT_RHO, max_iter: int = 500,
-             tol: float = 1e-6, ref: ReferenceSolution | None = None
+             tol: float = DEFAULT_TOL, ref: ReferenceSolution | None = None
              ) -> RunResult:
     """Deterministic BFGS baseline with the same Armijo search and stopping.
 
@@ -185,6 +186,7 @@ def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
     identity) and skips the curvature update whenever s^T y fails the
     positivity margin s^T y > 1e-12 ||s|| ||y||.
     """
+    check_armijo(beta, rho_backtrack)
     if ref is None:
         raise ValueError("bfgs_run needs a reference solution")
     h_inv = np.eye(obj.dim)

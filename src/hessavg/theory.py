@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import LastOnly, growth_ratio, log_weight
+from .solver import DEFAULT_BETA, DEFAULT_RHO, check_armijo
 
 NEVER = math.inf
 
@@ -52,8 +53,8 @@ class TheoryInputs:
     f0_gap: float
     psi: float
     weights: object
-    beta: float = 1e-4
-    rho: float = 0.5
+    beta: float = DEFAULT_BETA
+    rho: float = DEFAULT_RHO
 
     def __post_init__(self):
         if self.kappa < 1:
@@ -78,10 +79,7 @@ class TheoryInputs:
             raise ValueError("f0_gap must be nonnegative")
         if self.psi < 1:
             raise ValueError("psi must be >= 1")
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError("beta must lie in (0, 1/2)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
+        check_armijo(self.beta, self.rho)
         if isinstance(self.weights, LastOnly):
             raise ValueError("transition calculators need a weight sequence")
 

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,10 @@ def test_grid_validation():
         ExperimentGrid(oracle_kinds=["magic"])
     with pytest.raises(ValueError):
         ExperimentGrid(variants=["bfgs"])
+    with pytest.raises(ValueError):
+        ExperimentGrid(beta=0.7)
+    with pytest.raises(ValueError):
+        ExperimentGrid(rho=1.0)
 
 
 def test_grid_from_dict():
@@ -214,6 +220,20 @@ def test_unfinished_runs_become_dnf(tiny_outcome):
     assert "dnf" in csv
 
 
+def test_all_dnf_cell_aggregates_without_warning(tiny_outcome):
+    grid, outcome = tiny_outcome
+    runs = copy.deepcopy(outcome["runs"])
+    for rec in runs:
+        if rec["variant"] == "unifavg":
+            rec["iterations"] = None
+            rec["converged"] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = aggregate_rows(grid, runs)[0]
+    assert row["unifavg_median"] == DNF
+    assert row["unifavg_iqr"] == DNF
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     cfg = DataGenConfig(n=40, d=5, coherence_mode="low", kappa_A=3.0,
                         reg_nu=1e-3, seed=8)
@@ -258,6 +278,21 @@ def test_corrupt_dataset_files_raise(tmp_path):
     truncated.write_text(CSV_VERSION + "\n5,2\n1,2\n")
     with pytest.raises(ValueError):
         load_dataset_csv(truncated)
+
+
+@pytest.mark.parametrize("body", [
+    "2,2\n1,2,3\n4,5,6\n1,-1\n",  # every feature row has d+1 fields
+    "2,2\n1,2\n4,5,6\n1,-1\n",    # ragged feature rows
+    "2,2\n1,2\n4,5\n1,-1,1\n",    # n+1 labels
+    "2,2,2\n1,2\n4,5\n1,-1\n",    # three header fields
+    "2,2\n1,2\n4,x\n1,-1\n",      # a value that is not a number
+    "2,2\n1,2\n4,5\n1,0\n",       # a label outside {-1, +1}
+], ids=["wide", "ragged", "labels", "header", "value", "label-value"])
+def test_malformed_dataset_csv_names_the_file(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_VERSION + "\n" + body)
+    with pytest.raises(ValueError, match="^" + re.escape(str(path))):
+        load_dataset_csv(path)
 
 
 def test_trace_roundtrip(tmp_path):

@@ -96,6 +96,14 @@ def test_solve_bad_sketch_size_is_usage_error(dataset, capsys):
     assert code == 2
 
 
+def test_solve_bad_dataset_csv_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(CSV_VERSION + "\n2,2\n1,2,3\n4,5,6\n1,-1\n")
+    code = main(["solve", "--data", str(bad), "--oracle", "exact"])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_bench_runs_grid_and_is_parallel_invariant(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(TINY_GRID))
@@ -152,6 +160,17 @@ def test_bench_bad_grid_field_is_usage_error(tmp_path, capsys):
                  str(tmp_path / "x"), "--jobs", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("field", [{"beta": 0.7}, {"rho": 1.0}])
+def test_bench_out_of_range_armijo_is_usage_error(tmp_path, capsys, field):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(dict(TINY_GRID, **field)))
+    code = main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "x"), "--jobs", "1"])
+    capsys.readouterr()
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_rates_from_solver_trace(dataset, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,21 @@ def test_less_row_structure():
         assert np.allclose(np.abs(nz), mag, rtol=1e-14, atol=0)
 
 
+# sha256 of S.tobytes(); drawing S does no BLAS work, so these do not
+# depend on the machine.  A change to the order of the draws shows here.
+@pytest.mark.parametrize("kind, digest", [
+    (GaussianSketch(8),
+     "dda4c7164a7c1334c0bc9588e68dcf948937d1a522a389fd7def897071f880c8"),
+    (CountSketch(8),
+     "26e12d9e18b500126e25a65bfe7470dbdc00e994f0ae90324029b0e108514368"),
+    (LessUniform(8, 3),
+     "e90a651769ac1029276f0227f7a74e9d4b6f9372d4e5d21b5e1b00beca5093cd"),
+])
+def test_sketch_streams_are_pinned(kind, digest):
+    S = sketch_matrix(kind, 50, np.random.default_rng(0))
+    assert hashlib.sha256(S.tobytes()).hexdigest() == digest
+
+
 def test_less_default_density():
     resolved = resolve_kind(LessUniform(5), 30)
     assert resolved.nnz_per_row == max(1, math.ceil(0.1 * 30))
@@ -133,10 +149,9 @@ def test_sketched_oracles_need_glm_structure():
 
 
 def test_sample_size_validation():
-    with pytest.raises(ValueError):
-        Subsample(0)
-    with pytest.raises(ValueError):
-        GaussianSketch(0)
+    for kind in (Subsample, GaussianSketch, CountSketch, LessUniform):
+        with pytest.raises(ValueError, match="^%s oracle" % kind.__name__):
+            kind(0)
     obj = glm_instance(n=20, d=4, seed=1)
     with pytest.raises(ValueError):
         estimate(Subsample(21), obj, np.zeros(4), np.random.default_rng(0))

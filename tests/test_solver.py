@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hessavg.averaging import LastOnly, LogPower, Uniform
+from hessavg import solver
+from hessavg.averaging import LastOnly, LogPower, Uniform, update
 from hessavg.bench import ratio_series
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import Exact, Subsample
@@ -140,14 +141,28 @@ def test_final_x_matches_tolerance():
     assert np.sqrt(delta @ ref.h_star @ delta) <= 1e-6
 
 
-def test_averaging_trace_hook():
+def test_averaging_trace_hook(monkeypatch):
     obj, ref = quadratic_setup()
     trace = []
+
+    def recording_update(*args):
+        state = update(*args)
+        trace.append(state.h_tilde.copy())
+        return state
+
+    monkeypatch.setattr(solver, "update", recording_update)
     config = SolverConfig(oracle=Exact(), weights=Uniform(), max_iter=5,
                           tol_hstar=1e-12, seed=0)
-    result = run(obj, np.zeros(6), config, ref, averaging_trace=trace)
+    result = run(obj, np.zeros(6), config, ref)
     assert len(trace) == len(result.records)
     assert np.array_equal(trace[0], obj.hessian(np.zeros(6)))
+
+
+@pytest.mark.parametrize("kwargs", [{"rho_backtrack": 1.5}, {"beta": 0.9}])
+def test_bfgs_run_rejects_out_of_range_armijo(kwargs):
+    obj, ref = quadratic_setup()
+    with pytest.raises(ValueError):
+        bfgs_run(obj, np.zeros(6), ref=ref, **kwargs)
 
 
 def test_newton_direction_solves_spd_system():

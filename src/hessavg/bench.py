@@ -35,7 +35,7 @@ from .datagen import COHERENCE_MODES, DataGenConfig, generate
 from .oracles import CountSketch, Exact, GaussianSketch, LessUniform, Subsample
 from .problem import Dataset, RegularizedLogistic, solve_reference
 from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
-                     bfgs_run, check_armijo, run)
+                     bfgs_run, check_armijo, check_max_iter, run)
 
 CSV_VERSION = "# hessavg-csv v1"
 BIN_MAGIC = b"HAVG1"
@@ -106,6 +106,7 @@ class ExperimentGrid:
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
         check_armijo(self.beta, self.rho)
+        check_max_iter(self.max_iter)
         for mode in self.coherence_modes:
             if mode not in COHERENCE_MODES:
                 raise ValueError("unknown coherence mode %r" % (mode,))
@@ -351,7 +352,10 @@ def read_csv(path, what: str) -> list:
 
 def save_dataset_csv(path, ds: Dataset) -> None:
     """Dataset CSV: version comment, "n,d", n feature rows, one label row."""
-    lines = [",".join("%.17g" % v for v in ds.A[i]) for i in range(ds.n)]
+    # One format per row; converting row by row keeps the peak memory at
+    # that of the lines themselves.
+    row = ",".join(["%.17g"] * ds.d)
+    lines = [row % tuple(values.tolist()) for values in ds.A]
     lines.append(",".join("%d" % v for v in ds.b))
     write_csv(path, ("%d" % ds.n, "%d" % ds.d), lines)
 

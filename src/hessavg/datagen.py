@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from ._blas import single_thread
 from .problem import Dataset
 
 COHERENCE_MODES = ("low", "high")
@@ -78,6 +79,7 @@ def _orthonormal_factor(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     raise RuntimeError("QR factorization repeatedly produced non-finite output")
 
 
+@single_thread()
 def generate(config: DataGenConfig, rng: np.random.Generator | None = None
              ) -> tuple[Dataset, GenReport]:
     """Draw a dataset per the config; identical (config, seed) gives identical output.
@@ -86,7 +88,8 @@ def generate(config: DataGenConfig, rng: np.random.Generator | None = None
     each row of U by sqrt(z_i), z_i ~ Gamma(shape 0.5, scale 2), then restores
     orthonormality of the columns, which concentrates row leverage while keeping
     the singular values (and hence the condition number) exactly as configured.
-    The report carries what was actually achieved.
+    The report carries what was actually achieved.  It runs on one BLAS
+    thread, so its bits do not depend on the caller's thread count.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)

@@ -139,22 +139,26 @@ def sketch_matrix(kind, n: int, rng) -> np.ndarray:
     raise CapabilityError("not a sketch kind: %r" % (kind,))
 
 
-def estimate(kind, obj, x, rng) -> np.ndarray:
-    """Draw one stochastic Hessian estimate at x: a symmetric d x d matrix."""
+def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
+    """Draw one stochastic Hessian estimate at x: a symmetric d x d matrix.
+
+    margins, when given, are ``obj.margins(x)``; the objective then skips
+    its own pass over the data.
+    """
     kind = resolve_kind(kind, obj.dim)
     if isinstance(kind, Exact):
-        return obj.hessian(x)
+        return obj.hessian(x, margins=margins)
     if isinstance(kind, Subsample):
         _require_glm(obj, kind)
         ds = obj.dataset
         if kind.s > ds.n:
             raise ValueError("subsample size s exceeds the number of rows")
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
-        l = obj.curvature_weights(x)
+        l = obj.curvature_weights(x, margins=margins)
         return _glm_hessian(ds.A[idx], l[idx], float(kind.s), obj.reg_nu)
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
-        M = obj.glm_square_root(x)
+        M = obj.glm_square_root(x, margins=margins)
         S = sketch_matrix(kind, M.shape[0], rng)
         SM = S @ M
         return _symmetrize_add_nu(SM.T @ SM, obj.reg_nu)
@@ -189,11 +193,12 @@ def noise_sample(kind, obj, x, rng, count: int) -> NoiseStats:
     """Draw count estimates at fixed x and summarize the noise E = H_hat - H."""
     if count < 2:
         raise ValueError("count must be >= 2")
-    h_true = obj.hessian(x)
+    margins = obj.margins(x)
+    h_true = obj.hessian(x, margins=margins)
     norms = np.empty(count)
     total = np.zeros_like(h_true)
     for i in range(count):
-        est = estimate(kind, obj, x, rng)
+        est = estimate(kind, obj, x, rng, margins=margins)
         total += est
         norms[i] = spectral_norm(est - h_true)
     q90 = float(np.quantile(norms, 0.9))

@@ -1,11 +1,17 @@
 """Objective functions, reference solutions, and the H*-error metric.
 
 The solver and benchmarks work against a small objective contract: an
-objective exposes ``dim``, ``value``, ``gradient`` and ``hessian``.
-Generalized linear objectives additionally expose ``curvature_weights`` and
-``glm_square_root`` so that sketching oracles can form the square-root
-Hessian.  Everything here is a pure function of its inputs; objects are
-safe to share across concurrent runs.
+objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
+``hessian``.  Generalized linear objectives additionally expose
+``curvature_weights`` and ``glm_square_root`` so that sketching oracles can
+form the square-root Hessian.
+
+``margins(x)`` is the one pass over the data at x (``None`` for objectives
+that have none).  Every evaluation accepts it as ``margins=`` and then skips
+that pass, so a caller that evaluates several quantities at one point forms
+the margins once and hands them along.  Nothing is cached: everything here is
+a pure function of its inputs, and objects are safe to share across
+concurrent runs.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ def _as_vector(x, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"expected vector of length {d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    # The method form: np.all's dispatch costs more than the check at small d.
+    if not np.isfinite(x).all():
         raise ValueError("input vector contains non-finite entries")
     return x
 
@@ -62,20 +69,28 @@ class Dataset:
 
 
 class Objective(ABC):
-    """Contract shared by all objectives: value/gradient/hessian on R^d."""
+    """Contract shared by all objectives: value/gradient/hessian on R^d.
+
+    Each evaluation takes the ``margins(x)`` of the same x as an optional
+    keyword; objectives without margins accept and ignore it.
+    """
 
     @property
     @abstractmethod
     def dim(self) -> int: ...
 
-    @abstractmethod
-    def value(self, x) -> float: ...
+    def margins(self, x):
+        """The data pass that evaluations at x share; None when there is none."""
+        return None
 
     @abstractmethod
-    def gradient(self, x) -> np.ndarray: ...
+    def value(self, x, margins=None) -> float: ...
 
     @abstractmethod
-    def hessian(self, x) -> np.ndarray: ...
+    def gradient(self, x, margins=None) -> np.ndarray: ...
+
+    @abstractmethod
+    def hessian(self, x, margins=None) -> np.ndarray: ...
 
 
 def _glm_hessian(rows: np.ndarray, weights: np.ndarray, denom: float,
@@ -114,41 +129,40 @@ class RegularizedLogistic(Objective):
     def dim(self) -> int:
         return self.dataset.d
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        # m_i = b_i * a_i^T x
+    def margins(self, x) -> np.ndarray:
+        """m_i = b_i a_i^T x, the one O(nd) pass behind every evaluation."""
+        x = _as_vector(x, self.dim)
         return self.dataset.b * (self.dataset.A @ x)
 
-    def value(self, x) -> float:
+    def value(self, x, margins=None) -> float:
         x = _as_vector(x, self.dim)
-        m = self._margins(x)
+        m = self.margins(x) if margins is None else margins
         # log(1+exp(-m)) via logaddexp(0, -m): the max/log1p stable form.
         loss = float(np.mean(np.logaddexp(0.0, -m)))
         return loss + 0.5 * self.reg_nu * float(x @ x)
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, margins=None) -> np.ndarray:
         x = _as_vector(x, self.dim)
-        m = self._margins(x)
+        m = self.margins(x) if margins is None else margins
         # sigma(-m) = 1/(1+e^m), computed from logaddexp to avoid overflow.
         sig_neg = np.exp(-np.logaddexp(0.0, m))
         ds = self.dataset
         g = -(ds.A.T @ (ds.b * sig_neg)) / ds.n
         return g + self.reg_nu * x
 
-    def curvature_weights(self, x) -> np.ndarray:
+    def curvature_weights(self, x, margins=None) -> np.ndarray:
         """Per-row logistic curvature l_j = e^{-m_j}/(1+e^{-m_j})^2 in (0, 1/4]."""
-        x = _as_vector(x, self.dim)
-        m = self._margins(x)
+        m = self.margins(x) if margins is None else margins
         # l = sigma(m) * sigma(-m); symmetric in the sign of m.
         return np.exp(-np.logaddexp(0.0, m) - np.logaddexp(0.0, -m))
 
-    def glm_square_root(self, x) -> np.ndarray:
+    def glm_square_root(self, x, margins=None) -> np.ndarray:
         """M = (1/sqrt(n)) diag(l)^{1/2} A, so that M^T M + reg_nu I = hessian."""
-        l = self.curvature_weights(x)
+        l = self.curvature_weights(x, margins)
         return np.sqrt(l / self.dataset.n)[:, None] * self.dataset.A
 
-    def hessian(self, x) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        l = self.curvature_weights(x)
+    def hessian(self, x, margins=None) -> np.ndarray:
+        l = self.curvature_weights(x, margins)
         ds = self.dataset
         return _glm_hessian(ds.A, l, float(ds.n), self.reg_nu)
 
@@ -174,15 +188,15 @@ class QuadraticTest(Objective):
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def value(self, x) -> float:
+    def value(self, x, margins=None) -> float:
         x = _as_vector(x, self.dim)
         return 0.5 * float(x @ self.Q @ x) - float(self.c @ x)
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, margins=None) -> np.ndarray:
         x = _as_vector(x, self.dim)
         return self.Q @ x - self.c
 
-    def hessian(self, x) -> np.ndarray:
+    def hessian(self, x, margins=None) -> np.ndarray:
         _as_vector(x, self.dim)
         return self.Q.copy()
 
@@ -235,7 +249,9 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
     from .solver import DEFAULT_BETA, DEFAULT_RHO, line_search, newton_direction
 
     x = _as_vector(x0, obj.dim).copy()
-    g = obj.gradient(x)
+    m = obj.margins(x)
+    f = obj.value(x, margins=m)
+    g = obj.gradient(x, margins=m)
     prev_norm = np.inf
     for _ in range(REF_MAX_ITER):
         g_norm = float(np.linalg.norm(g))
@@ -244,16 +260,15 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         if g_norm <= 1e-9 and g_norm >= 0.5 * prev_norm:
             break  # float64 rounding floor reached; polish takes over
         prev_norm = g_norm
-        p = newton_direction(obj.hessian(x), g)
+        p = newton_direction(obj.hessian(x, margins=m), g)
         if p is None:
             raise RuntimeError("reference solve: Newton system not solvable "
                                "(objective not strongly convex?)")
-        mu, _ = line_search(obj, x, p, DEFAULT_BETA, DEFAULT_RHO,
-                            f0=obj.value(x), g0=g)
-        if mu is None:
+        step, _ = line_search(obj, x, p, DEFAULT_BETA, DEFAULT_RHO, f0=f, g0=g)
+        if step is None:
             raise RuntimeError("reference solve: line search failed")
-        x = x + mu * p
-        g = obj.gradient(x)
+        x, f, m = step.x, step.f, step.margins
+        g = obj.gradient(x, margins=m)
     g_hp = _gradient_highprec(obj, x)
     for _ in range(20):
         grad_norm = float(np.linalg.norm(g_hp))

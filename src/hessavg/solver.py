@@ -12,9 +12,14 @@ direction, or when Armijo backtracking fails within the cap.
 ``bfgs_run`` provides a deterministic quasi-Newton baseline.  Both solvers
 run one shared loop, so they have the same line search, records, stopping
 rule and non-finite guard; they differ only in how they pick a direction.
+
+Each point is evaluated once: the line search forms the margins of every
+trial, and the accepted trial's margins serve its value, its gradient and
+the next Hessian estimate.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +43,12 @@ def check_armijo(beta: float, rho: float) -> None:
         raise ValueError("rho must lie in (0, 1)")
 
 
+def check_max_iter(max_iter: int) -> None:
+    """Range check of the iteration budget: at least one iteration."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+
 @dataclass
 class SolverConfig:
     """Run parameters: line search, budget, tolerance, oracle, weights, seed."""
@@ -52,8 +63,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_armijo(self.beta, self.rho_backtrack)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_max_iter(self.max_iter)
         if self.tol_hstar < 0:
             raise ValueError("tol_hstar must be nonnegative")
 
@@ -95,20 +105,33 @@ def newton_direction(h_tilde: np.ndarray, g: np.ndarray):
     return p
 
 
+class Step(NamedTuple):
+    """An accepted trial: stepsize mu, x + mu p, and f and margins there."""
+
+    mu: float
+    x: np.ndarray
+    f: float
+    margins: np.ndarray | None
+
+
 def line_search(obj, x, p, beta: float = DEFAULT_BETA,
                 rho_backtrack: float = DEFAULT_RHO, *,
                 f0: float, g0: np.ndarray):
     """Armijo backtracking: smallest j >= 0 with
     f(x + rho^j p) <= f(x) + rho^j * beta * grad(x)^T p.
 
-    Returns (stepsize, backtracks); stepsize is None when no j <= 60 works.
-    f0 and g0 are the value and gradient at x, which callers already hold.
+    Returns (step, backtracks); step is the accepted ``Step``, or None when
+    no j <= 60 works.  f0 and g0 are the value and gradient at x, which
+    callers already hold.  Each trial forms its margins once.
     """
     slope = float(g0 @ p)
     mu = 1.0
     for j in range(MAX_BACKTRACKS + 1):
-        if obj.value(x + mu * p) <= f0 + mu * beta * slope:
-            return mu, j
+        x_trial = x + mu * p
+        m_trial = obj.margins(x_trial)
+        f_trial = obj.value(x_trial, margins=m_trial)
+        if f_trial <= f0 + mu * beta * slope:
+            return Step(mu, x_trial, f_trial, m_trial), j
         mu *= rho_backtrack
     return None, MAX_BACKTRACKS + 1
 
@@ -118,29 +141,28 @@ def _descend(obj, x0, ref: ReferenceSolution, direction, *, beta: float,
              on_step=None) -> RunResult:
     """The loop shared by ``run`` and ``bfgs_run``.
 
-    direction(x, g) gives a step or None (skip); on_step(s, y) sees each
-    accepted step s and its gradient change y.  Stops at H*-error <= tol,
-    after max_iter iterations, or once f or x is non-finite.
+    direction(x, g, margins) gives a step or None (skip); on_step(s, y)
+    sees each accepted step s and its gradient change y.  Stops at
+    H*-error <= tol, after max_iter iterations, or once f or x is
+    non-finite.
     """
     x = _as_vector(x0, obj.dim).copy()
-    f_cur = obj.value(x)
-    g_cur = obj.gradient(x)
+    m_cur = obj.margins(x)
+    f_cur = obj.value(x, margins=m_cur)
+    g_cur = obj.gradient(x, margins=m_cur)
     records: list[IterationRecord] = []
     for t in range(max_iter):
-        p = direction(x, g_cur)
+        p = direction(x, g_cur, m_cur)
         stepsize, backtracks, skipped = 0.0, 0, True
         if p is not None:
-            mu, backtracks = line_search(obj, x, p, beta, rho_backtrack,
-                                         f0=f_cur, g0=g_cur)
-            if mu is not None:
-                stepsize, skipped = mu, False
-                x_new = x + mu * p
-                g_new = obj.gradient(x_new)
+            step, backtracks = line_search(obj, x, p, beta, rho_backtrack,
+                                           f0=f_cur, g0=g_cur)
+            if step is not None:
+                stepsize, skipped = step.mu, False
+                g_new = obj.gradient(step.x, margins=step.margins)
                 if on_step is not None:
-                    on_step(x_new - x, g_new - g_cur)
-                x = x_new
-                f_cur = obj.value(x)
-                g_cur = g_new
+                    on_step(step.x - x, g_new - g_cur)
+                x, f_cur, g_cur, m_cur = step.x, step.f, g_new, step.margins
         err = hstar_error(x, ref)
         records.append(IterationRecord(
             t=t, f_value=f_cur, grad_norm=float(np.linalg.norm(g_cur)),
@@ -163,11 +185,11 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
     rng = np.random.default_rng([config.seed, 1])
     state = initial_state(obj.dim)
 
-    def averaged_direction(x, g):
+    def averaged_direction(x, g, margins):
         # The average is updated every iteration, skipped ones included.
         nonlocal state
         state = update(state, config.weights,
-                       estimate(config.oracle, obj, x, rng))
+                       estimate(config.oracle, obj, x, rng, margins=margins))
         return newton_direction(state.h_tilde, g)
 
     return _descend(obj, x0, ref, averaged_direction, beta=config.beta,
@@ -187,11 +209,12 @@ def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
     positivity margin s^T y > 1e-12 ||s|| ||y||.
     """
     check_armijo(beta, rho_backtrack)
+    check_max_iter(max_iter)
     if ref is None:
         raise ValueError("bfgs_run needs a reference solution")
     h_inv = np.eye(obj.dim)
 
-    def quasi_newton_direction(x, g):
+    def quasi_newton_direction(x, g, margins):
         p = -(h_inv @ g)
         return p if float(g @ p) < 0.0 else None
 

@@ -18,6 +18,7 @@ from hessavg.bench import (CSV_VERSION, DNF, ExperimentGrid, RunSpec,
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CountSketch, Exact, GaussianSketch, LessUniform,
                              Subsample)
+from hessavg.problem import Dataset
 from hessavg.solver import IterationRecord
 
 TINY = dict(coherence_modes=["low"], kappa_list=[1.0], s_list=[1.0],
@@ -56,6 +57,8 @@ def test_grid_validation():
         ExperimentGrid(beta=0.7)
     with pytest.raises(ValueError):
         ExperimentGrid(rho=1.0)
+    with pytest.raises(ValueError):
+        ExperimentGrid(max_iter=0)
 
 
 def test_grid_from_dict():
@@ -245,6 +248,19 @@ def test_dataset_csv_roundtrip(tmp_path):
     loaded = load_dataset_csv(path)
     assert np.array_equal(loaded.A, ds.A)
     assert np.array_equal(loaded.b, ds.b)
+
+
+def test_dataset_csv_rows_match_per_element_format(tmp_path):
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((30, 7)) * 10.0 ** rng.integers(-300, 300,
+                                                           size=(30, 7))
+    A[0, :5] = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1 / 3]
+    ds = Dataset(A=A, b=np.where(rng.random(30) < 0.5, 1, -1))
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, ds)
+    rows = path.read_text().splitlines()[2:-1]
+    assert rows == [",".join("%.17g" % v for v in ds.A[i])
+                    for i in range(ds.n)]
 
 
 def test_dataset_binary_roundtrip(tmp_path):

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from hessavg import _blas
 from hessavg.averaging import LastOnly, LogPower
-from hessavg.datagen import DataGenConfig, generate
+from hessavg.datagen import COHERENCE_MODES, DataGenConfig, generate
 from hessavg.oracles import Exact, GaussianSketch
 from hessavg.problem import (QuadraticTest, ReferenceSolution,
                              RegularizedLogistic, solve_reference)
@@ -37,7 +39,7 @@ class ProbedQuadratic(QuadraticTest):
         self.seen = []
         self.fail = fail
 
-    def hessian(self, x):
+    def hessian(self, x, margins=None):
         self.seen.append(thread_counts())
         if self.fail:
             raise RuntimeError("oracle failure")
@@ -104,3 +106,17 @@ def test_results_independent_of_caller_threads(two_threads):
         outputs.append((result.records, result.final_x.tobytes(),
                         ref.x_star.tobytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", COHERENCE_MODES)
+def test_generate_independent_of_caller_threads(two_threads, mode):
+    # At this size the QR and products split across threads differently.
+    cfg = DataGenConfig(n=8000, d=400, coherence_mode=mode, kappa_A=400.0,
+                        reg_nu=1e-3, seed=1)
+    digests = []
+    for count in (2, 1):
+        set_threads(count)
+        ds, _ = generate(cfg)
+        digests.append(hashlib.sha256(ds.A.tobytes() + ds.b.tobytes())
+                       .hexdigest())
+    assert digests[0] == digests[1]

@@ -162,7 +162,8 @@ def test_bench_bad_grid_field_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", [{"beta": 0.7}, {"rho": 1.0}])
+@pytest.mark.parametrize("field", [{"beta": 0.7}, {"rho": 1.0},
+                                   {"max_iter": 0}])
 def test_bench_out_of_range_armijo_is_usage_error(tmp_path, capsys, field):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(dict(TINY_GRID, **field)))

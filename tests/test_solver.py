@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from hessavg import solver
 from hessavg.averaging import LastOnly, LogPower, Uniform, update
 from hessavg.bench import ratio_series
 from hessavg.datagen import DataGenConfig, generate
-from hessavg.oracles import Exact, Subsample
+from hessavg.oracles import CountSketch, Exact, Subsample
 from hessavg.problem import (QuadraticTest, ReferenceSolution,
                              RegularizedLogistic, solve_reference)
 from hessavg.solver import SolverConfig, bfgs_run, newton_direction, run
@@ -158,7 +161,8 @@ def test_averaging_trace_hook(monkeypatch):
     assert np.array_equal(trace[0], obj.hessian(np.zeros(6)))
 
 
-@pytest.mark.parametrize("kwargs", [{"rho_backtrack": 1.5}, {"beta": 0.9}])
+@pytest.mark.parametrize("kwargs", [{"rho_backtrack": 1.5}, {"beta": 0.9},
+                                    {"max_iter": 0}])
 def test_bfgs_run_rejects_out_of_range_armijo(kwargs):
     obj, ref = quadratic_setup()
     with pytest.raises(ValueError):
@@ -209,7 +213,7 @@ def test_bfgs_on_quadratic():
 class NaNValueQuadratic(QuadraticTest):
     """A quadratic whose value is NaN everywhere (failure injection)."""
 
-    def value(self, x):
+    def value(self, x, margins=None):
         return float("nan")
 
 
@@ -244,3 +248,122 @@ def test_ratio_diagnostics():
     _, ratios = ratio_series(errs)
     assert len(ratios) <= len(errs) - 1
     assert np.all(ratios > 0.0)
+
+
+class CountingMatrix(np.ndarray):
+    """A design matrix that logs the shape of each product with a vector.
+
+    A x logs (n, d) and A^T v logs (d, n); views and row subsets share the log.
+    """
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __matmul__(self, other):
+        if self.log is not None and np.ndim(other) == 1:
+            self.log.append(self.shape)
+        return np.asarray(self) @ other
+
+
+def counted_margins(obj, monkeypatch):
+    """Count obj.margins calls and log every matrix-vector product with A."""
+    calls = []
+    margins = obj.margins
+
+    def counting(x):
+        calls.append(1)
+        return margins(x)
+
+    monkeypatch.setattr(obj, "margins", counting)
+    A = obj.dataset.A.view(CountingMatrix)
+    A.log = []
+    obj.dataset.A = A
+    return calls, A.log
+
+
+@pytest.mark.parametrize("solve", ["subsample", "countsketch", "bfgs", "skips"])
+def test_margins_formed_once_per_trial(solve, monkeypatch):
+    if solve == "skips":
+        obj, ref, config = skip_scenario()
+    else:
+        obj, ref = logistic_setup()
+        oracle = CountSketch(40) if solve == "countsketch" else Subsample(20)
+        config = SolverConfig(oracle=oracle, weights=LogPower(), max_iter=80,
+                              tol_hstar=1e-8, seed=5)
+    calls, products = counted_margins(obj, monkeypatch)
+    if solve == "bfgs":
+        result = bfgs_run(obj, np.zeros(10), max_iter=400, tol=1e-8, ref=ref)
+    else:
+        result = run(obj, np.zeros(10), config, ref)
+    accepted = [r for r in result.records if not r.skipped]
+    assert result.converged and accepted
+    # Once at x0, then once per trial point: 1 + backtracks per accepted
+    # iteration; a skipped one tries no point here (no direction).
+    expected = 1 + sum(r.backtracks + 1 for r in accepted)
+    assert sum(r.backtracks for r in result.records if r.skipped) == 0
+    assert len(calls) == expected
+    n, d = obj.dataset.A.shape
+    # No A x pass besides the margins, and one A^T v per gradient.
+    assert products.count((n, d)) == expected
+    assert products.count((d, n)) == 1 + len(accepted)
+    assert len(products) == expected + 1 + len(accepted)
+
+
+def records_sha256(result):
+    blob = repr([dataclasses.astuple(r) for r in result.records]).encode()
+    return hashlib.sha256(blob + result.final_x.tobytes()).hexdigest()
+
+
+# Computed before margins were shared between evaluations (numpy 2.4 with
+# OpenBLAS 0.3.31 on x86-64).  A change that moves these records changes
+# floats and must say so; another BLAS build may round differently.
+PINNED_RECORDS = {
+    ("low", "noavg-subsample"): (
+        93, "4c1e33ecba62ba69e89dd382c35f3e929d9d556216ea6634c0fc107c65d2326e"),
+    ("low", "weightavg-countsketch"): (
+        36, "31b362bac71176df392fc215d12737536f1ee87438d257c56e8f507b6bedf937"),
+    ("low", "bfgs"): (
+        82, "f5d49a8cfa1640713a04af16b8049d1cb0d3f46172624549124e96d53b763901"),
+    ("high", "noavg-subsample"): (
+        116, "dcfe6ebd1ede132730be4cd380d75aac8c2911ea68478fe8efd679f08ab3120a"),
+    ("high", "weightavg-countsketch"): (
+        31, "e40f483e03a3d8b605ce71cb77f1b45511b3f258dc4c38deddfb468ea628633e"),
+    ("high", "bfgs"): (
+        109, "e800aa914fada3f1c78056b828c4cf0f124e0ed5d626f7aa585414b7c1c3e5cd"),
+}
+
+
+@pytest.mark.parametrize("mode,solve", sorted(PINNED_RECORDS))
+def test_logistic_records_are_pinned(mode, solve):
+    ds, _ = generate(DataGenConfig(n=200, d=20, coherence_mode=mode,
+                                   kappa_A=20.0, reg_nu=1e-3, seed=4))
+    obj = RegularizedLogistic(ds, 1e-3)
+    ref = solve_reference(obj, np.zeros(20))
+    if solve == "bfgs":
+        result = bfgs_run(obj, np.zeros(20), max_iter=300, ref=ref)
+    else:
+        oracle, weights = {"noavg-subsample": (Subsample(20), LastOnly()),
+                           "weightavg-countsketch": (CountSketch(20),
+                                                     LogPower())}[solve]
+        result = run(obj, np.zeros(20), SolverConfig(
+            oracle=oracle, weights=weights, max_iter=300, seed=2), ref)
+    assert (len(result.records), records_sha256(result)) == \
+        PINNED_RECORDS[(mode, solve)]
+
+
+PINNED_QUADRATIC = {
+    "run": "b5e3d2697878c54795d38533d2fc03030151f7612f5fc30052e62714838a91ea",
+    "bfgs": "2f96f70da7fb7fe0bc0e8629bc0515a0e2c0b6e9519d88409a29f12f0bb9e0c3",
+}
+
+
+@pytest.mark.parametrize("solve", sorted(PINNED_QUADRATIC))
+def test_quadratic_records_are_pinned(solve):
+    obj, ref = quadratic_setup()
+    if solve == "bfgs":
+        result = bfgs_run(obj, np.zeros(6), max_iter=100, tol=1e-8, ref=ref)
+    else:
+        config = SolverConfig(oracle=Exact(), weights=Uniform(), max_iter=5,
+                              tol_hstar=1e-12, seed=0)
+        result = run(obj, np.zeros(6), config, ref)
+    assert records_sha256(result) == PINNED_QUADRATIC[solve]

@@ -125,11 +125,6 @@ def log_weight(seq, t: int) -> float:
     return -math.inf if t == -1 else seq.log_weight(t)
 
 
-def derivative(seq, t: float) -> float:
-    """w'(t) of the continuous extension, for the growth-ratio bound."""
-    return math.exp(log_weight(seq, t)) * growth_ratio(seq, t)
-
-
 def growth_ratio(seq, t: float) -> float:
     """w'(t)/w(t) of the continuous extension, in closed form.
 

@@ -31,11 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from .averaging import LastOnly, LogPower, Uniform
-from .datagen import COHERENCE_MODES, DataGenConfig, generate
+from .datagen import DataGenConfig, generate
 from .oracles import CountSketch, Exact, GaussianSketch, LessUniform, Subsample
 from .problem import Dataset, RegularizedLogistic, solve_reference
 from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
-                     bfgs_run, check_armijo, check_max_iter, run)
+                     bfgs_run, run)
 
 CSV_VERSION = "# hessavg-csv v1"
 BIN_MAGIC = b"HAVG1"
@@ -78,6 +78,12 @@ def oracle_for_name(name: str, s: int):
     return _ORACLES_BY_NAME[name](s)
 
 
+def kappa_a(d: int, kappa_power: float) -> float:
+    # math.pow raises ValueError where ** would raise ZeroDivisionError
+    # (d = 0) or return a complex (d < 0), so a bad d reads as bad input.
+    return math.pow(d, kappa_power)
+
+
 @dataclass
 class ExperimentGrid:
     """Grid description; kappa_list holds powers of d, s_list multiples of d."""
@@ -105,11 +111,14 @@ class ExperimentGrid:
             raise ValueError("tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        check_armijo(self.beta, self.rho)
-        check_max_iter(self.max_iter)
-        for mode in self.coherence_modes:
-            if mode not in COHERENCE_MODES:
-                raise ValueError("unknown coherence mode %r" % (mode,))
+        # The configs the runs build check the remaining parameters.
+        SolverConfig(beta=self.beta, rho_backtrack=self.rho,
+                     max_iter=self.max_iter, tol_hstar=self.tol)
+        for coherence in self.coherence_modes:
+            for kappa_power in self.kappa_list:
+                DataGenConfig(n=self.n, d=self.d, coherence_mode=coherence,
+                              kappa_A=kappa_a(self.d, kappa_power),
+                              reg_nu=self.reg_nu, seed=self.base_seed)
         for name in self.oracle_kinds:
             if name not in ORACLES:
                 raise ValueError("unknown oracle %r" % (name,))
@@ -222,24 +231,22 @@ def execute_run(spec: RunSpec) -> dict:
     """
     out = asdict(spec)
     del out["keep_trace"]
-    out["kappa_a"] = float(spec.d) ** spec.kappa_power
+    out["kappa_a"] = kappa_a(spec.d, spec.kappa_power)
     out["s"] = max(1, round(spec.s_mult * spec.d)) if spec.oracle != "none" else 0
     out.update(iterations=None, converged=False, error=None)
     try:
         obj, ref = _shared_problem(spec.n, spec.d, spec.coherence,
                                    out["kappa_a"], spec.reg_nu,
                                    spec.dataset_seed)
-        x0 = np.zeros(spec.d)
-        if spec.variant == "bfgs":
-            result = bfgs_run(obj, x0, spec.beta, spec.rho, spec.max_iter,
-                              spec.tol, ref)
-        else:
-            solver_cfg = SolverConfig(
-                beta=spec.beta, rho_backtrack=spec.rho,
-                max_iter=spec.max_iter, tol_hstar=spec.tol,
+        solve, stochastic = bfgs_run, {}
+        if spec.variant != "bfgs":
+            solve, stochastic = run, dict(
                 oracle=oracle_for_name(spec.oracle, out["s"]),
-                weights=weights_for_variant(spec.variant), seed=spec.seed)
-            result = run(obj, x0, solver_cfg, ref)
+                weights=weights_for_variant(spec.variant))
+        config = SolverConfig(beta=spec.beta, rho_backtrack=spec.rho,
+                              max_iter=spec.max_iter, tol_hstar=spec.tol,
+                              seed=spec.seed, **stochastic)
+        result = solve(obj, np.zeros(spec.d), config, ref)
         out["iterations"] = result.iterations_to_tol
         out["converged"] = result.converged
         if spec.keep_trace:
@@ -262,14 +269,20 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
 
     Uses min(jobs, available CPUs, runs) workers, since a pool starts all
     of its workers at once; with one worker the runs execute in-process.
+    The shared datasets are dropped afterwards, so none outlives the call.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     specs = expand_grid(grid, keep_trace=keep_trace)
     workers = min(jobs, _available_cpus(), len(specs))
-    if workers <= 1:
-        runs = [execute_run(spec) for spec in specs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(execute_run, specs, chunksize=1))
+    try:
+        if workers <= 1:
+            runs = [execute_run(spec) for spec in specs]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                runs = list(pool.map(execute_run, specs, chunksize=1))
+    finally:
+        _shared_problem.cache_clear()
     return {"rows": aggregate_rows(grid, runs), "runs": runs}
 
 
@@ -294,7 +307,7 @@ def aggregate_rows(grid: ExperimentGrid, runs: list) -> list:
     for coherence, kappa_power, s_mult, oracle in _setups(grid):
         row = {
             "coherence": coherence,
-            "kappa_a": float(grid.d) ** kappa_power,
+            "kappa_a": kappa_a(grid.d, kappa_power),
             "s": max(1, round(s_mult * grid.d)),
             "oracle": oracle,
         }
@@ -424,7 +437,10 @@ def load_trace_csv(path) -> dict:
     header, *rows = read_csv(path, "trace")
     if any(len(row) != len(header) for row in rows):
         raise ValueError("%s: ragged trace file" % path)
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    try:
+        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     data = data.reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}
 

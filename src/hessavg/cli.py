@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--coherence", choices=COHERENCE_MODES, default="low")
     g.add_argument("--kappa", type=float, default=100.0,
                    help="target condition number of the data matrix")
-    g.add_argument("--reg-nu", type=float, default=1e-3)
+    g.add_argument("--reg-nu", type=float, default=bench.ExperimentGrid.reg_nu)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True,
                    help="output base path (writes .csv, .bin, .json)")
@@ -198,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=DEFAULT_BETA)
     s.add_argument("--rho", type=float, default=DEFAULT_RHO)
     s.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    s.add_argument("--max-iter", type=int, default=999)
+    s.add_argument("--max-iter", type=int,
+                   default=bench.ExperimentGrid.max_iter)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--reg-nu", type=float, default=1e-3,
+    s.add_argument("--reg-nu", type=float, default=bench.ExperimentGrid.reg_nu,
                    help="l2 strength of the objective built from the data")
     s.add_argument("--trace-out", default=None,
                    help="per-iteration trace CSV path")

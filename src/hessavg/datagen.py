@@ -80,8 +80,7 @@ def _orthonormal_factor(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 @single_thread()
-def generate(config: DataGenConfig, rng: np.random.Generator | None = None
-             ) -> tuple[Dataset, GenReport]:
+def generate(config: DataGenConfig) -> tuple[Dataset, GenReport]:
     """Draw a dataset per the config; identical (config, seed) gives identical output.
 
     Low coherence keeps the orthonormal factor U as is.  High coherence divides
@@ -91,8 +90,7 @@ def generate(config: DataGenConfig, rng: np.random.Generator | None = None
     The report carries what was actually achieved.  It runs on one BLAS
     thread, so its bits do not depend on the caller's thread count.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
     U = _orthonormal_factor(rng, n, d)
     if config.coherence_mode == "high":

@@ -43,12 +43,6 @@ def check_armijo(beta: float, rho: float) -> None:
         raise ValueError("rho must lie in (0, 1)")
 
 
-def check_max_iter(max_iter: int) -> None:
-    """Range check of the iteration budget: at least one iteration."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
-
 @dataclass
 class SolverConfig:
     """Run parameters: line search, budget, tolerance, oracle, weights, seed."""
@@ -63,7 +57,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_armijo(self.beta, self.rho_backtrack)
-        check_max_iter(self.max_iter)
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.tol_hstar < 0:
             raise ValueError("tol_hstar must be nonnegative")
 
@@ -136,26 +131,26 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     return None, MAX_BACKTRACKS + 1
 
 
-def _descend(obj, x0, ref: ReferenceSolution, direction, *, beta: float,
-             rho_backtrack: float, max_iter: int, tol: float,
-             on_step=None) -> RunResult:
+def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
+             direction, on_step=None) -> RunResult:
     """The loop shared by ``run`` and ``bfgs_run``.
 
     direction(x, g, margins) gives a step or None (skip); on_step(s, y)
     sees each accepted step s and its gradient change y.  Stops at
-    H*-error <= tol, after max_iter iterations, or once f or x is
-    non-finite.
+    H*-error <= config.tol_hstar, after config.max_iter iterations, or
+    once f or x is non-finite.
     """
     x = _as_vector(x0, obj.dim).copy()
     m_cur = obj.margins(x)
     f_cur = obj.value(x, margins=m_cur)
     g_cur = obj.gradient(x, margins=m_cur)
     records: list[IterationRecord] = []
-    for t in range(max_iter):
+    for t in range(config.max_iter):
         p = direction(x, g_cur, m_cur)
         stepsize, backtracks, skipped = 0.0, 0, True
         if p is not None:
-            step, backtracks = line_search(obj, x, p, beta, rho_backtrack,
+            step, backtracks = line_search(obj, x, p, config.beta,
+                                           config.rho_backtrack,
                                            f0=f_cur, g0=g_cur)
             if step is not None:
                 stepsize, skipped = step.mu, False
@@ -170,7 +165,7 @@ def _descend(obj, x0, ref: ReferenceSolution, direction, *, beta: float,
             backtracks=backtracks))
         if not (np.isfinite(f_cur) and np.all(np.isfinite(x))):
             break
-        if err <= tol:
+        if err <= config.tol_hstar:
             return RunResult(records, True, t + 1, x)
     return RunResult(records, False, None, x)
 
@@ -192,26 +187,20 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
                        estimate(config.oracle, obj, x, rng, margins=margins))
         return newton_direction(state.h_tilde, g)
 
-    return _descend(obj, x0, ref, averaged_direction, beta=config.beta,
-                    rho_backtrack=config.rho_backtrack,
-                    max_iter=config.max_iter, tol=config.tol_hstar)
+    return _descend(obj, x0, config, ref, averaged_direction)
 
 
 @single_thread()
-def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
-             rho_backtrack: float = DEFAULT_RHO, max_iter: int = 500,
-             tol: float = DEFAULT_TOL, ref: ReferenceSolution | None = None
+def bfgs_run(obj, x0, config: SolverConfig, ref: ReferenceSolution
              ) -> RunResult:
     """Deterministic BFGS baseline with the same Armijo search and stopping.
 
-    Maintains the inverse-Hessian approximation (initialized to the
-    identity) and skips the curvature update whenever s^T y fails the
-    positivity margin s^T y > 1e-12 ||s|| ||y||.
+    Reads config's beta, rho_backtrack, max_iter and tol_hstar; its oracle,
+    weights and seed do not apply.  Maintains the inverse-Hessian
+    approximation (initialized to the identity) and skips the curvature
+    update whenever s^T y fails the positivity margin
+    s^T y > 1e-12 ||s|| ||y||.
     """
-    check_armijo(beta, rho_backtrack)
-    check_max_iter(max_iter)
-    if ref is None:
-        raise ValueError("bfgs_run needs a reference solution")
     h_inv = np.eye(obj.dim)
 
     def quasi_newton_direction(x, g, margins):
@@ -228,6 +217,5 @@ def bfgs_run(obj, x0, beta: float = DEFAULT_BETA,
                      + ((sy + float(y @ hy)) * rho_sy ** 2) * np.outer(s, s)
                      - rho_sy * (np.outer(hy, s) + np.outer(s, hy)))
 
-    return _descend(obj, x0, ref, quasi_newton_direction, beta=beta,
-                    rho_backtrack=rho_backtrack, max_iter=max_iter, tol=tol,
+    return _descend(obj, x0, config, ref, quasi_newton_direction,
                     on_step=inverse_update)

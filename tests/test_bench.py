@@ -59,6 +59,18 @@ def test_grid_validation():
         ExperimentGrid(rho=1.0)
     with pytest.raises(ValueError):
         ExperimentGrid(max_iter=0)
+    # Checked by the dataset config each run builds: n >= d >= 1,
+    # reg_nu >= 0, kappa_A = d ** power >= 1.
+    with pytest.raises(ValueError):
+        ExperimentGrid(n=50, d=100)
+    with pytest.raises(ValueError):
+        ExperimentGrid(d=0)
+    with pytest.raises(ValueError):
+        ExperimentGrid(reg_nu=-1.0)
+    with pytest.raises(ValueError):
+        ExperimentGrid(kappa_list=[-1.0])
+    with pytest.raises(ValueError):
+        ExperimentGrid(d=0, kappa_list=[-1.0])
 
 
 def test_grid_from_dict():
@@ -195,6 +207,15 @@ def test_grid_workers_are_capped(tiny_outcome, monkeypatch, jobs, cpus,
     outcome = run_grid(grid, jobs=jobs)
     assert SerialPool.created == expected
     assert outcome == serial
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_run_grid_drops_shared_problems(monkeypatch, pool):
+    if pool:
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bench, "_available_cpus", lambda: 2)
+    run_grid(ExperimentGrid(**dict(TINY, num_seeds=1)), jobs=2 if pool else 1)
+    assert bench._shared_problem.cache_info().currsize == 0
 
 
 def test_median_is_lower_median(tiny_outcome):

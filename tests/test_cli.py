@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hessavg import bench
 from hessavg.bench import CSV_VERSION, load_trace_csv, save_trace_csv
 from hessavg.cli import main
 from hessavg.solver import IterationRecord
@@ -174,6 +175,34 @@ def test_bench_out_of_range_armijo_is_usage_error(tmp_path, capsys, field):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("field", [{"n": 20}, {"d": 0}, {"reg_nu": -1.0},
+                                   {"kappa_list": [-1.0]}])
+def test_bench_bad_dataset_grid_fails_before_any_run(tmp_path, capsys,
+                                                     monkeypatch, field):
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "execute_run", no_run)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(dict(TINY_GRID, **field)))
+    code = main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "x"), "--jobs", "1"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_bench_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(TINY_GRID))
+    code = main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "x"), "--jobs", jobs])
+    assert code == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_rates_from_solver_trace(dataset, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["solve", "--data", str(dataset), "--oracle", "subsample",
@@ -228,6 +257,17 @@ def test_rates_ragged_trace_names_the_file(tmp_path, capsys):
     assert code == 2
     assert str(trace) in err
     assert "ragged" in err
+
+
+def test_rates_non_numeric_trace_names_the_file(tmp_path, capsys):
+    trace = tmp_path / "text.csv"
+    trace.write_text("%s\nt,hstar_error\n0,1.0\n1,abc\n" % CSV_VERSION)
+    code = main(["rates", "--trace", str(trace), "--out",
+                 str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(trace) in err
+    assert "abc" in err
 
 
 def test_malformed_jobs_env_only_affects_bench(tmp_path, capsys, monkeypatch):

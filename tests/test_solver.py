@@ -164,9 +164,9 @@ def test_averaging_trace_hook(monkeypatch):
 @pytest.mark.parametrize("kwargs", [{"rho_backtrack": 1.5}, {"beta": 0.9},
                                     {"max_iter": 0}])
 def test_bfgs_run_rejects_out_of_range_armijo(kwargs):
-    obj, ref = quadratic_setup()
+    # bfgs_run takes its parameters only through a checked SolverConfig.
     with pytest.raises(ValueError):
-        bfgs_run(obj, np.zeros(6), ref=ref, **kwargs)
+        SolverConfig(**kwargs)
 
 
 def test_newton_direction_solves_spd_system():
@@ -187,24 +187,20 @@ def test_newton_direction_skips_bad_matrices():
     assert newton_direction(np.eye(2), np.zeros(2)) is None
 
 
-def test_bfgs_requires_reference():
-    obj, _ = quadratic_setup()
-    with pytest.raises(ValueError):
-        bfgs_run(obj, np.zeros(6))
-
-
 def test_bfgs_on_logistic():
     obj, ref = logistic_setup()
-    result = bfgs_run(obj, np.zeros(10), max_iter=400, tol=1e-6, ref=ref)
+    config = SolverConfig(max_iter=400, tol_hstar=1e-6)
+    result = bfgs_run(obj, np.zeros(10), config, ref)
     assert result.converged
     assert 5 <= result.iterations_to_tol <= 400
-    again = bfgs_run(obj, np.zeros(10), max_iter=400, tol=1e-6, ref=ref)
+    again = bfgs_run(obj, np.zeros(10), config, ref)
     assert result.iterations_to_tol == again.iterations_to_tol
 
 
 def test_bfgs_on_quadratic():
     obj, ref = quadratic_setup()
-    result = bfgs_run(obj, np.zeros(6), max_iter=100, tol=1e-8, ref=ref)
+    result = bfgs_run(obj, np.zeros(6),
+                      SolverConfig(max_iter=100, tol_hstar=1e-8), ref)
     assert result.converged
     delta = result.final_x - ref.x_star
     assert np.sqrt(delta @ ref.h_star @ delta) <= 1e-8
@@ -226,7 +222,8 @@ def test_nan_objective_value_stops_after_one_skipped_step(solve):
                               tol_hstar=1e-12, seed=0)
         result = run(obj, np.zeros(6), config, ref)
     else:
-        result = bfgs_run(obj, np.zeros(6), max_iter=20, tol=1e-12, ref=ref)
+        result = bfgs_run(obj, np.zeros(6),
+                          SolverConfig(max_iter=20, tol_hstar=1e-12), ref)
     # NaN fails every Armijo comparison, so the search exhausts its 60
     # halvings; the non-finite guard then ends the run after that record.
     assert len(result.records) == 1
@@ -292,7 +289,8 @@ def test_margins_formed_once_per_trial(solve, monkeypatch):
                               tol_hstar=1e-8, seed=5)
     calls, products = counted_margins(obj, monkeypatch)
     if solve == "bfgs":
-        result = bfgs_run(obj, np.zeros(10), max_iter=400, tol=1e-8, ref=ref)
+        result = bfgs_run(obj, np.zeros(10),
+                          SolverConfig(max_iter=400, tol_hstar=1e-8), ref)
     else:
         result = run(obj, np.zeros(10), config, ref)
     accepted = [r for r in result.records if not r.skipped]
@@ -340,7 +338,7 @@ def test_logistic_records_are_pinned(mode, solve):
     obj = RegularizedLogistic(ds, 1e-3)
     ref = solve_reference(obj, np.zeros(20))
     if solve == "bfgs":
-        result = bfgs_run(obj, np.zeros(20), max_iter=300, ref=ref)
+        result = bfgs_run(obj, np.zeros(20), SolverConfig(max_iter=300), ref)
     else:
         oracle, weights = {"noavg-subsample": (Subsample(20), LastOnly()),
                            "weightavg-countsketch": (CountSketch(20),
@@ -361,7 +359,8 @@ PINNED_QUADRATIC = {
 def test_quadratic_records_are_pinned(solve):
     obj, ref = quadratic_setup()
     if solve == "bfgs":
-        result = bfgs_run(obj, np.zeros(6), max_iter=100, tol=1e-8, ref=ref)
+        result = bfgs_run(obj, np.zeros(6),
+                          SolverConfig(max_iter=100, tol_hstar=1e-8), ref)
     else:
         config = SolverConfig(oracle=Exact(), weights=Uniform(), max_iter=5,
                               tol_hstar=1e-12, seed=0)

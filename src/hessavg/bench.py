@@ -111,7 +111,10 @@ class ExperimentGrid:
             raise ValueError("tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        # The configs the runs build check the remaining parameters.
+        # The configs the runs build check the remaining parameters, so a
+        # grid must build at least one of each.
+        if not self.coherence_modes or not self.kappa_list:
+            raise ValueError("coherence_modes and kappa_list must be nonempty")
         SolverConfig(beta=self.beta, rho_backtrack=self.rho,
                      max_iter=self.max_iter, tol_hstar=self.tol)
         for coherence in self.coherence_modes:

@@ -154,8 +154,9 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
         if kind.s > ds.n:
             raise ValueError("subsample size s exceeds the number of rows")
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
-        l = obj.curvature_weights(x, margins=margins)
-        return _glm_hessian(ds.A[idx], l[idx], float(kind.s), obj.reg_nu)
+        m = obj.margins(x) if margins is None else margins
+        l = obj.curvature_weights(x, margins=m[idx])
+        return _glm_hessian(ds.A[idx], l, float(kind.s), obj.reg_nu)
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x, margins=margins)

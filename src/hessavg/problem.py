@@ -80,7 +80,10 @@ class Objective(ABC):
     def dim(self) -> int: ...
 
     def margins(self, x):
-        """The data pass that evaluations at x share; None when there is none."""
+        """The data pass that evaluations at x share; None when there is none.
+
+        Margins are linear in x: margins(x + mu p) = margins(x) + mu margins(p).
+        """
         return None
 
     @abstractmethod
@@ -137,15 +140,16 @@ class RegularizedLogistic(Objective):
     def value(self, x, margins=None) -> float:
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
-        # log(1+exp(-m)) via logaddexp(0, -m): the max/log1p stable form.
-        loss = float(np.mean(np.logaddexp(0.0, -m)))
+        e = np.exp(-np.abs(m))
+        loss = float(np.mean(np.maximum(-m, 0.0) + np.log1p(e)))
         return loss + 0.5 * self.reg_nu * float(x @ x)
 
     def gradient(self, x, margins=None) -> np.ndarray:
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
-        # sigma(-m) = 1/(1+e^m), computed from logaddexp to avoid overflow.
-        sig_neg = np.exp(-np.logaddexp(0.0, m))
+        # sigma(-m) = 1/(1+e^m) from e = e^{-|m|}, which cannot overflow.
+        e = np.exp(-np.abs(m))
+        sig_neg = np.where(m >= 0, e, 1.0) / (1.0 + e)
         ds = self.dataset
         g = -(ds.A.T @ (ds.b * sig_neg)) / ds.n
         return g + self.reg_nu * x
@@ -153,8 +157,12 @@ class RegularizedLogistic(Objective):
     def curvature_weights(self, x, margins=None) -> np.ndarray:
         """Per-row logistic curvature l_j = e^{-m_j}/(1+e^{-m_j})^2 in (0, 1/4]."""
         m = self.margins(x) if margins is None else margins
-        # l = sigma(m) * sigma(-m); symmetric in the sign of m.
-        return np.exp(-np.logaddexp(0.0, m) - np.logaddexp(0.0, -m))
+        # l = sigma(m) * sigma(-m) is symmetric in the sign of m, so it is
+        # e/(1+e)^2 with e = e^{-|m|}.  Near m = 0 that rounds up to one ulp
+        # above 1/4, hence the clamp.
+        e = np.exp(-np.abs(m))
+        l = e / ((1.0 + e) * (1.0 + e))
+        return np.minimum(l, 0.25, out=l)
 
     def glm_square_root(self, x, margins=None) -> np.ndarray:
         """M = (1/sqrt(n)) diag(l)^{1/2} A, so that M^T M + reg_nu I = hessian."""
@@ -264,7 +272,8 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         if p is None:
             raise RuntimeError("reference solve: Newton system not solvable "
                                "(objective not strongly convex?)")
-        step, _ = line_search(obj, x, p, DEFAULT_BETA, DEFAULT_RHO, f0=f, g0=g)
+        step, _ = line_search(obj, x, p, DEFAULT_BETA, DEFAULT_RHO,
+                              f0=f, g0=g, m0=m)
         if step is None:
             raise RuntimeError("reference solve: line search failed")
         x, f, m = step.x, step.f, step.margins

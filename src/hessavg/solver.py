@@ -13,9 +13,11 @@ direction, or when Armijo backtracking fails within the cap.
 run one shared loop, so they have the same line search, records, stopping
 rule and non-finite guard; they differ only in how they pick a direction.
 
-Each point is evaluated once: the line search forms the margins of every
-trial, and the accepted trial's margins serve its value, its gradient and
-the next Hessian estimate.
+Each point is evaluated once: the line search moves the margins along the
+search ray, and the accepted trial's margins serve its value, its gradient
+and the next Hessian estimate.  An iteration makes one pass over the data
+for the search direction and one for the gradient, however many trials its
+search takes.
 """
 
 from dataclasses import dataclass, field
@@ -111,19 +113,23 @@ class Step(NamedTuple):
 
 def line_search(obj, x, p, beta: float = DEFAULT_BETA,
                 rho_backtrack: float = DEFAULT_RHO, *,
-                f0: float, g0: np.ndarray):
+                f0: float, g0: np.ndarray, m0: np.ndarray | None):
     """Armijo backtracking: smallest j >= 0 with
     f(x + rho^j p) <= f(x) + rho^j * beta * grad(x)^T p.
 
     Returns (step, backtracks); step is the accepted ``Step``, or None when
-    no j <= 60 works.  f0 and g0 are the value and gradient at x, which
-    callers already hold.  Each trial forms its margins once.
+    no j <= 60 works.  f0, g0 and m0 are the value, gradient and margins at
+    x, which callers already hold.  Margins are linear in x, so the search
+    forms q = margins(p) once and each trial's margins are m0 + mu q: a
+    trial costs O(n), not a pass over the data.  Objectives without margins
+    (q is None) evaluate each trial from x alone.
     """
     slope = float(g0 @ p)
+    q = obj.margins(p)
     mu = 1.0
     for j in range(MAX_BACKTRACKS + 1):
         x_trial = x + mu * p
-        m_trial = obj.margins(x_trial)
+        m_trial = None if q is None else m0 + mu * q
         f_trial = obj.value(x_trial, margins=m_trial)
         if f_trial <= f0 + mu * beta * slope:
             return Step(mu, x_trial, f_trial, m_trial), j
@@ -151,7 +157,7 @@ def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
         if p is not None:
             step, backtracks = line_search(obj, x, p, config.beta,
                                            config.rho_backtrack,
-                                           f0=f_cur, g0=g_cur)
+                                           f0=f_cur, g0=g_cur, m0=m_cur)
             if step is not None:
                 stepsize, skipped = step.mu, False
                 g_new = obj.gradient(step.x, margins=step.margins)

@@ -71,6 +71,11 @@ def test_grid_validation():
         ExperimentGrid(kappa_list=[-1.0])
     with pytest.raises(ValueError):
         ExperimentGrid(d=0, kappa_list=[-1.0])
+    # A grid without datasets would skip those checks.
+    with pytest.raises(ValueError):
+        ExperimentGrid(coherence_modes=[])
+    with pytest.raises(ValueError):
+        ExperimentGrid(kappa_list=[])
 
 
 def test_grid_from_dict():

@@ -176,7 +176,9 @@ def test_bench_out_of_range_armijo_is_usage_error(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize("field", [{"n": 20}, {"d": 0}, {"reg_nu": -1.0},
-                                   {"kappa_list": [-1.0]}])
+                                   {"kappa_list": [-1.0]},
+                                   {"coherence_modes": [], "n": 5},
+                                   {"kappa_list": [], "n": 5}])
 def test_bench_bad_dataset_grid_fails_before_any_run(tmp_path, capsys,
                                                      monkeypatch, field):
     def no_run(spec):

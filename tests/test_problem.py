@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.problem import (Dataset, QuadraticTest, ReferenceSolution,
@@ -72,6 +75,38 @@ def test_extreme_margins_do_not_overflow():
     assert np.all(np.isfinite(w))
     assert np.all(w >= 0.0)
     assert np.all(w <= 0.25)
+
+
+def mp_kernels(m):
+    """Loss log(1+e^{-m}), sigma(-m) and curvature l(m) at 50 digits."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(m)
+        return (float(mpmath.log1p(mpmath.exp(-m))),
+                float(1 / (1 + mpmath.exp(m))),
+                float(mpmath.exp(-m) / (1 + mpmath.exp(-m)) ** 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(min_value=-800.0, max_value=800.0))
+@example(m=0.0)
+@example(m=-0.0)
+@example(m=36.5)
+@example(m=-36.5)
+@example(m=720.0)
+@example(m=-720.0)
+@example(m=800.0)
+@example(m=-800.0)
+def test_kernels_match_mpmath(m):
+    # A 1x1 problem at x = m: the margin is m and the regularizer is off, so
+    # value, -gradient and curvature_weights are the three kernels at m.
+    obj = RegularizedLogistic(Dataset(np.array([[1.0]]), np.array([1])), 0.0)
+    x = np.array([m])
+    got = (obj.value(x), -obj.gradient(x)[0], obj.curvature_weights(x)[0])
+    assert np.all(np.isfinite(got))
+    assert 0.0 <= got[2] <= 0.25
+    # Below the normal range a double carries only absolute precision.
+    assert np.allclose(got, mp_kernels(m), rtol=5e-15,
+                       atol=np.finfo(float).tiny)
 
 
 def test_gradient_matches_finite_differences():

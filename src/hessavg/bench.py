@@ -24,8 +24,9 @@ import hashlib
 import math
 import os
 import struct
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -84,15 +85,38 @@ def kappa_a(d: int, kappa_power: float) -> float:
     return math.pow(d, kappa_power)
 
 
+def sample_size(s_mult: float, d: int) -> int:
+    """The oracle size s for a grid's multiple of d."""
+    return round(s_mult * d)
+
+
+def _check_type(name: str, value, kind) -> None:
+    """ValueError naming the grid field unless value has its declared type.
+
+    An int passes where a float is declared; a bool passes only as a bool.
+    """
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError("grid field %s must be a list, got %r"
+                             % (name, value))
+        for item in value:
+            _check_type(name, item, typing.get_args(kind)[0])
+        return
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+        raise ValueError("grid field %s must hold %s, got %r"
+                         % (name, kind.__name__, value))
+
+
 @dataclass
 class ExperimentGrid:
     """Grid description; kappa_list holds powers of d, s_list multiples of d."""
 
-    coherence_modes: list = field(default_factory=lambda: ["low"])
-    kappa_list: list = field(default_factory=lambda: [1.0])
-    s_list: list = field(default_factory=lambda: [1.0])
-    oracle_kinds: list = field(default_factory=lambda: ["subsample"])
-    variants: list = field(default_factory=lambda: list(VARIANTS))
+    coherence_modes: list[str] = field(default_factory=lambda: ["low"])
+    kappa_list: list[float] = field(default_factory=lambda: [1.0])
+    s_list: list[float] = field(default_factory=lambda: [1.0])
+    oracle_kinds: list[str] = field(default_factory=lambda: ["subsample"])
+    variants: list[str] = field(default_factory=lambda: list(VARIANTS))
     num_seeds: int = 50
     base_seed: int = 0
     tol: float = DEFAULT_TOL
@@ -105,16 +129,21 @@ class ExperimentGrid:
     rho: float = DEFAULT_RHO
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        # An empty list would leave a grid without rows or runs, and skip the
+        # checks made per dataset below.
+        for name in ("coherence_modes", "kappa_list", "s_list",
+                     "oracle_kinds", "variants"):
+            if not getattr(self, name):
+                raise ValueError("%s must be nonempty" % name)
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        # The configs the runs build check the remaining parameters, so a
-        # grid must build at least one of each.
-        if not self.coherence_modes or not self.kappa_list:
-            raise ValueError("coherence_modes and kappa_list must be nonempty")
+        # The configs the runs build check the remaining parameters.
         SolverConfig(beta=self.beta, rho_backtrack=self.rho,
                      max_iter=self.max_iter, tol_hstar=self.tol)
         for coherence in self.coherence_modes:
@@ -122,6 +151,11 @@ class ExperimentGrid:
                 DataGenConfig(n=self.n, d=self.d, coherence_mode=coherence,
                               kappa_A=kappa_a(self.d, kappa_power),
                               reg_nu=self.reg_nu, seed=self.base_seed)
+        for s_mult in self.s_list:
+            s = sample_size(s_mult, self.d)
+            if not 1 <= s <= self.n:
+                raise ValueError("s_list entry %r gives s = %d, outside "
+                                 "[1, n = %d]" % (s_mult, s, self.n))
         for name in self.oracle_kinds:
             if name not in ORACLES:
                 raise ValueError("unknown oracle %r" % (name,))
@@ -235,7 +269,7 @@ def execute_run(spec: RunSpec) -> dict:
     out = asdict(spec)
     del out["keep_trace"]
     out["kappa_a"] = kappa_a(spec.d, spec.kappa_power)
-    out["s"] = max(1, round(spec.s_mult * spec.d)) if spec.oracle != "none" else 0
+    out["s"] = sample_size(spec.s_mult, spec.d) if spec.oracle != "none" else 0
     out.update(iterations=None, converged=False, error=None)
     try:
         obj, ref = _shared_problem(spec.n, spec.d, spec.coherence,
@@ -311,7 +345,7 @@ def aggregate_rows(grid: ExperimentGrid, runs: list) -> list:
         row = {
             "coherence": coherence,
             "kappa_a": kappa_a(grid.d, kappa_power),
-            "s": max(1, round(s_mult * grid.d)),
+            "s": sample_size(s_mult, grid.d),
             "oracle": oracle,
         }
         for variant in grid.variants:

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import bench, theory
 from .averaging import LogPower, Power, Uniform, psi_bound
-from .datagen import COHERENCE_MODES, DataGenConfig, generate
+from .datagen import (COHERENCE_MODES, DataGenConfig, coherence,
+                      condition_number, generate)
 from .oracles import CapabilityError
 from .problem import RegularizedLogistic, solve_reference
 from .solver import DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig, run
@@ -43,7 +44,7 @@ def cmd_generate(args) -> int:
     cfg = DataGenConfig(n=args.n, d=args.d, coherence_mode=args.coherence,
                         kappa_A=args.kappa, reg_nu=args.reg_nu,
                         seed=args.seed)
-    ds, report = generate(cfg)
+    ds, x_true = generate(cfg)
     base = _strip_known_suffix(args.out)
     bench.save_dataset_csv(base + ".csv", ds)
     bench.save_dataset_binary(base + ".bin", ds)
@@ -51,16 +52,16 @@ def cmd_generate(args) -> int:
         "config": {"n": args.n, "d": args.d, "coherence": args.coherence,
                    "kappa": args.kappa, "reg_nu": args.reg_nu,
                    "seed": args.seed},
-        "measured_coherence": report.measured_coherence,
-        "measured_condition": report.measured_condition,
-        "x_true": list(report.x_true),
+        "measured_coherence": coherence(ds.A),
+        "measured_condition": condition_number(ds.A),
+        "x_true": list(x_true),
     }
     with open(base + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     print("wrote %s.csv, %s.bin, %s.json (coherence %.4g, condition %.6g)"
-          % (base, base, base, report.measured_coherence,
-             report.measured_condition))
+          % (base, base, base, sidecar["measured_coherence"],
+             sidecar["measured_condition"]))
     return 0
 
 

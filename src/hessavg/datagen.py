@@ -38,15 +38,7 @@ class DataGenConfig:
             raise ValueError("reg_nu must be nonnegative")
 
 
-@dataclass
-class GenReport:
-    """What the generator actually produced, measured from A itself."""
-
-    measured_coherence: float
-    measured_condition: float
-    x_true: np.ndarray
-
-
+@single_thread()
 def coherence(A: np.ndarray) -> float:
     """(n/d) times the max squared row norm of the left singular factor of A."""
     A = np.asarray(A, dtype=float)
@@ -57,6 +49,7 @@ def coherence(A: np.ndarray) -> float:
     return n / d * float(np.max(np.sum(U * U, axis=1)))
 
 
+@single_thread()
 def condition_number(A: np.ndarray) -> float:
     """sigma_max(A) / sigma_min(A)."""
     s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
@@ -80,15 +73,15 @@ def _orthonormal_factor(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 @single_thread()
-def generate(config: DataGenConfig) -> tuple[Dataset, GenReport]:
-    """Draw a dataset per the config; identical (config, seed) gives identical output.
+def generate(config: DataGenConfig) -> tuple[Dataset, np.ndarray]:
+    """Draw a dataset and its planted x_true; identical (config, seed) gives identical output.
 
     Low coherence keeps the orthonormal factor U as is.  High coherence divides
     each row of U by sqrt(z_i), z_i ~ Gamma(shape 0.5, scale 2), then restores
     orthonormality of the columns, which concentrates row leverage while keeping
-    the singular values (and hence the condition number) exactly as configured.
-    The report carries what was actually achieved.  It runs on one BLAS
-    thread, so its bits do not depend on the caller's thread count.
+    the singular values (and hence the condition number) exactly as configured;
+    ``coherence`` and ``condition_number`` measure what was achieved.  It runs
+    on one BLAS thread, so its bits do not depend on the caller's thread count.
     """
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
@@ -106,10 +99,4 @@ def generate(config: DataGenConfig) -> tuple[Dataset, GenReport]:
     x_true = rng.standard_normal(d) / np.sqrt(d)
     p_plus = expit(A @ x_true)
     b = np.where(rng.random(n) < p_plus, 1, -1)
-    dataset = Dataset(A=A, b=b)
-    report = GenReport(
-        measured_coherence=coherence(A),
-        measured_condition=condition_number(A),
-        x_true=x_true,
-    )
-    return dataset, report
+    return Dataset(A=A, b=b), x_true

@@ -6,18 +6,17 @@ objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
 ``curvature_weights`` and ``glm_square_root`` so that sketching oracles can
 form the square-root Hessian.
 
-``margins(x)`` is the one pass over the data at x (``None`` for objectives
-that have none).  Every evaluation accepts it as ``margins=`` and then skips
-that pass, so a caller that evaluates several quantities at one point forms
-the margins once and hands them along.  Nothing is cached: everything here is
-a pure function of its inputs, and objects are safe to share across
-concurrent runs.
+``margins(x)`` is the one pass over the data at x; it is linear in x.  Every
+evaluation accepts it as ``margins=`` and then skips that pass, so a caller
+that evaluates several quantities at one point forms the margins once and
+hands them along.  Nothing is cached: everything here is a pure function of
+its inputs, and objects are safe to share across concurrent runs.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +71,19 @@ class Objective(ABC):
     """Contract shared by all objectives: value/gradient/hessian on R^d.
 
     Each evaluation takes the ``margins(x)`` of the same x as an optional
-    keyword; objectives without margins accept and ignore it.
+    keyword; objectives whose evaluations do not need it ignore it.
     """
 
     @property
     @abstractmethod
     def dim(self) -> int: ...
 
-    def margins(self, x):
-        """The data pass that evaluations at x share; None when there is none.
+    @abstractmethod
+    def margins(self, x) -> np.ndarray:
+        """The data pass that evaluations at x share.
 
         Margins are linear in x: margins(x + mu p) = margins(x) + mu margins(p).
         """
-        return None
 
     @abstractmethod
     def value(self, x, margins=None) -> float: ...
@@ -147,12 +146,8 @@ class RegularizedLogistic(Objective):
     def gradient(self, x, margins=None) -> np.ndarray:
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
-        # sigma(-m) = 1/(1+e^m) from e = e^{-|m|}, which cannot overflow.
-        e = np.exp(-np.abs(m))
-        sig_neg = np.where(m >= 0, e, 1.0) / (1.0 + e)
         ds = self.dataset
-        g = -(ds.A.T @ (ds.b * sig_neg)) / ds.n
-        return g + self.reg_nu * x
+        return _logistic_gradient(ds.A, ds.b, m, x, self.reg_nu)
 
     def curvature_weights(self, x, margins=None) -> np.ndarray:
         """Per-row logistic curvature l_j = e^{-m_j}/(1+e^{-m_j})^2 in (0, 1/4]."""
@@ -173,6 +168,16 @@ class RegularizedLogistic(Objective):
         l = self.curvature_weights(x, margins)
         ds = self.dataset
         return _glm_hessian(ds.A, l, float(ds.n), self.reg_nu)
+
+
+def _logistic_gradient(A, b, m, x, nu):
+    """-(1/n) A^T (b * sigma(-m)) + nu x, in the precision of A, m and x.
+
+    sigma(-m) = 1/(1+e^m) is formed from e = e^{-|m|}, which cannot overflow.
+    """
+    e = np.exp(-np.abs(m))
+    sig_neg = np.where(m >= 0, e, 1.0) / (1.0 + e)
+    return -(A.T @ (b * sig_neg)) / A.shape[0] + nu * x
 
 
 class QuadraticTest(Objective):
@@ -196,6 +201,10 @@ class QuadraticTest(Objective):
     def dim(self) -> int:
         return self.Q.shape[0]
 
+    def margins(self, x) -> np.ndarray:
+        """x itself: the identity is linear, and no evaluation reads it."""
+        return _as_vector(x, self.dim)
+
     def value(self, x, margins=None) -> float:
         x = _as_vector(x, self.dim)
         return 0.5 * float(x @ self.Q @ x) - float(self.c @ x)
@@ -211,11 +220,10 @@ class QuadraticTest(Objective):
 
 @dataclass
 class ReferenceSolution:
-    """High-precision minimizer x*, the Hessian H* there, and ||grad f(x*)||."""
+    """High-precision minimizer x* and the Hessian H* there."""
 
     x_star: np.ndarray
     h_star: np.ndarray
-    grad_norm_at_star: float = field(default=0.0)
 
 
 def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
@@ -229,16 +237,8 @@ def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
         return obj.gradient(x).astype(np.longdouble)
     ds = obj.dataset
     A = ds.A.astype(np.longdouble)
-    b = ds.b.astype(np.longdouble)
-    m = b * (A @ x.astype(np.longdouble))
-    sig_neg = np.empty_like(m)
-    pos = m >= 0
-    em = np.exp(-m[pos])
-    sig_neg[pos] = em / (1 + em)
-    ep = np.exp(m[~pos])
-    sig_neg[~pos] = 1 / (1 + ep)
-    g = -(A.T @ (b * sig_neg)) / ds.n
-    return g + np.longdouble(obj.reg_nu) * x.astype(np.longdouble)
+    x = x.astype(np.longdouble)
+    return _logistic_gradient(A, ds.b, ds.b * (A @ x), x, obj.reg_nu)
 
 
 @single_thread()
@@ -298,7 +298,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
             f"within {REF_MAX_ITER} iterations (final {grad_norm:.3e})")
     h_star = obj.hessian(x)
     h_star = 0.5 * (h_star + h_star.T)
-    return ReferenceSolution(x_star=x, h_star=h_star, grad_norm_at_star=grad_norm)
+    return ReferenceSolution(x_star=x, h_star=h_star)
 
 
 def hstar_error(x, ref: ReferenceSolution) -> float:

@@ -108,12 +108,12 @@ class Step(NamedTuple):
     mu: float
     x: np.ndarray
     f: float
-    margins: np.ndarray | None
+    margins: np.ndarray
 
 
 def line_search(obj, x, p, beta: float = DEFAULT_BETA,
                 rho_backtrack: float = DEFAULT_RHO, *,
-                f0: float, g0: np.ndarray, m0: np.ndarray | None):
+                f0: float, g0: np.ndarray, m0: np.ndarray):
     """Armijo backtracking: smallest j >= 0 with
     f(x + rho^j p) <= f(x) + rho^j * beta * grad(x)^T p.
 
@@ -121,15 +121,14 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     no j <= 60 works.  f0, g0 and m0 are the value, gradient and margins at
     x, which callers already hold.  Margins are linear in x, so the search
     forms q = margins(p) once and each trial's margins are m0 + mu q: a
-    trial costs O(n), not a pass over the data.  Objectives without margins
-    (q is None) evaluate each trial from x alone.
+    trial costs O(n), not a pass over the data.
     """
     slope = float(g0 @ p)
     q = obj.margins(p)
     mu = 1.0
     for j in range(MAX_BACKTRACKS + 1):
         x_trial = x + mu * p
-        m_trial = None if q is None else m0 + mu * q
+        m_trial = m0 + mu * q
         f_trial = obj.value(x_trial, margins=m_trial)
         if f_trial <= f0 + mu * beta * slope:
             return Step(mu, x_trial, f_trial, m_trial), j

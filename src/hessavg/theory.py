@@ -19,7 +19,7 @@ serialized as the string "inf").
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,6 +174,29 @@ def _k_lead(inputs: TheoryInputs, t_total: float) -> float:
                * math.log(inputs.d * t_total / inputs.delta)))
 
 
+def _double_until(reached, hi, failure: str):
+    """Double hi until reached(hi); RuntimeError(failure) beyond 2**62."""
+    while not reached(hi):
+        hi *= 2
+        if hi > _BRACKET_LIMIT:
+            raise RuntimeError(failure)
+    return hi
+
+
+def _first_false(holds, lo: int, hi: int) -> int:
+    """Smallest integer t in (lo, hi] with holds(t) false, by bisection.
+
+    Needs holds(lo) true, holds(hi) false, and one flip in between.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _i1_expression(inputs: TheoryInputs, t: int) -> float:
     return (math.log(inputs.d * (t + 1) / inputs.delta)
             * growth_ratio(inputs.weights, t))
@@ -201,11 +224,8 @@ def i1(inputs: TheoryInputs) -> float:
     def expr(t):
         return _i1_expression(inputs, t)
 
-    hi = 1
-    while not (expr(hi) < thr and expr(hi) <= expr(hi - 1)):
-        hi *= 2
-        if hi > _BRACKET_LIMIT:
-            raise RuntimeError("growth expression does not decay")
+    hi = _double_until(lambda t: expr(t) < thr and expr(t) <= expr(t - 1), 1,
+                       "growth expression does not decay")
     lo, mid_hi = 0, hi
     while mid_hi - lo > 2:
         m1 = lo + (mid_hi - lo) // 3
@@ -217,14 +237,7 @@ def i1(inputs: TheoryInputs) -> float:
     peak = max(range(lo, mid_hi + 1), key=expr)
     if expr(peak) < thr:
         return 0.0
-    lo, hi = peak, hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if expr(mid) >= thr:
-            lo = mid
-        else:
-            hi = mid
-    return float(lo + 1)
+    return float(_first_false(lambda t: expr(t) >= thr, peak, hi))
 
 
 def u_transition(inputs: TheoryInputs, i_total: float) -> float:
@@ -237,11 +250,8 @@ def u_transition(inputs: TheoryInputs, i_total: float) -> float:
     target_log = _u_target_log(inputs, i_total)
     if log_weight(seq, i_total) >= target_log:
         return 0.0
-    hi = 1.0
-    while log_weight(seq, i_total + hi) < target_log:
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise RuntimeError("weight sequence never reaches the target")
+    hi = _double_until(lambda u: log_weight(seq, i_total + u) >= target_log,
+                       1.0, "weight sequence never reaches the target")
     lo = 0.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
@@ -291,21 +301,15 @@ def v_transition(inputs: TheoryInputs, i_total: float, u: float) -> float:
         return NEVER
     rhs_log = _v_rhs_log(inputs, i_total)
     start = max(0, math.ceil(i_total + u))
-    if _v_lhs_log(inputs, start) >= rhs_log:
+
+    def below(t):
+        return _v_lhs_log(inputs, t) < rhs_log
+
+    if not below(start):
         return float(start)
-    hi = max(start, 1)
-    while _v_lhs_log(inputs, hi) < rhs_log:
-        hi *= 2
-        if hi > _BRACKET_LIMIT:
-            raise RuntimeError("averaging noise never dominates")
-    lo = start
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _v_lhs_log(inputs, mid) < rhs_log:
-            lo = mid
-        else:
-            hi = mid
-    return float(hi)
+    hi = _double_until(lambda t: not below(t), max(start, 1),
+                       "averaging noise never dominates")
+    return float(_first_false(below, start, hi))
 
 
 def _v_lhs_log(inputs: TheoryInputs, t: float) -> float:
@@ -458,10 +462,5 @@ def substitute_back_checks(inputs: TheoryInputs,
 
 def report_to_json_dict(report: TransitionReport) -> dict:
     """JSON-safe dict; infinite transition points serialize as "inf"."""
-    out = {}
-    for name in ("t1", "t2", "t_total", "j_transition", "k_transition",
-                 "i1", "i_total", "u_transition", "v_transition"):
-        value = getattr(report, name)
-        out[name] = "inf" if math.isinf(value) else value
-    out["t2_clamped"] = report.t2_clamped
-    return out
+    return {name: "inf" if math.isinf(value) else value
+            for name, value in asdict(report).items()}

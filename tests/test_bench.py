@@ -76,6 +76,17 @@ def test_grid_validation():
         ExperimentGrid(coherence_modes=[])
     with pytest.raises(ValueError):
         ExperimentGrid(kappa_list=[])
+    # Every list field must be nonempty, and each s in [1, n].
+    with pytest.raises(ValueError):
+        ExperimentGrid(variants=[])
+    with pytest.raises(ValueError):
+        ExperimentGrid(oracle_kinds=[])
+    with pytest.raises(ValueError):
+        ExperimentGrid(s_list=[], include_bfgs=True)
+    with pytest.raises(ValueError):
+        ExperimentGrid(s_list=[-3.0])
+    with pytest.raises(ValueError):
+        ExperimentGrid(n=60, d=6, s_list=[20.0])
 
 
 def test_grid_from_dict():

@@ -194,6 +194,24 @@ def test_bench_bad_dataset_grid_fails_before_any_run(tmp_path, capsys,
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("field", [{"n": "1000"}, {"num_seeds": 2.5},
+                                   {"include_bfgs": 1}, {"tol": True},
+                                   {"s_list": 1.0}, {"kappa_list": ["1"]}])
+def test_bench_wrong_field_type_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               field):
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "execute_run", no_run)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(dict(TINY_GRID, **field)))
+    code = main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "x"), "--jobs", "1"])
+    assert code == 2
+    assert "grid field %s" % next(iter(field)) in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_bench_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     grid_path = tmp_path / "grid.json"

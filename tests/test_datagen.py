@@ -24,8 +24,8 @@ def test_config_validation():
 def test_low_coherence_band(seed):
     cfg = DataGenConfig(n=1000, d=100, coherence_mode="low", kappa_A=100.0,
                         reg_nu=1e-3, seed=seed)
-    ds, rep = generate(cfg)
-    assert 1.0 <= rep.measured_coherence <= 3.0
+    ds, _ = generate(cfg)
+    assert 1.0 <= coherence(ds.A) <= 3.0
     assert ds.A.shape == (1000, 100)
     assert set(np.unique(ds.b)) <= {-1, 1}
 
@@ -34,28 +34,28 @@ def test_low_coherence_band(seed):
 def test_high_coherence_band(seed):
     cfg = DataGenConfig(n=1000, d=100, coherence_mode="high", kappa_A=100.0,
                         reg_nu=1e-3, seed=seed)
-    _, rep = generate(cfg)
+    ds, _ = generate(cfg)
     # Theoretical ceiling is n/d = 10; the heavy-tailed row scaling should
     # get close to it.
-    assert 5.0 <= rep.measured_coherence <= 10.0 + 1e-9
+    assert 5.0 <= coherence(ds.A) <= 10.0 + 1e-9
 
 
 @pytest.mark.parametrize("mode", ["low", "high"])
 def test_condition_number_is_exact(mode):
     cfg = DataGenConfig(n=400, d=40, coherence_mode=mode, kappa_A=73.0,
                         reg_nu=1e-3, seed=1)
-    _, rep = generate(cfg)
-    assert abs(rep.measured_condition - 73.0) / 73.0 <= 1e-12
+    ds, _ = generate(cfg)
+    assert abs(condition_number(ds.A) - 73.0) / 73.0 <= 1e-12
 
 
 def test_generation_is_deterministic():
     cfg = DataGenConfig(n=150, d=10, coherence_mode="low", kappa_A=5.0,
                         reg_nu=1e-3, seed=9)
-    ds1, rep1 = generate(cfg)
-    ds2, rep2 = generate(cfg)
+    ds1, x_true1 = generate(cfg)
+    ds2, x_true2 = generate(cfg)
     assert np.array_equal(ds1.A, ds2.A)
     assert np.array_equal(ds1.b, ds2.b)
-    assert np.array_equal(rep1.x_true, rep2.x_true)
+    assert np.array_equal(x_true1, x_true2)
 
 
 def test_different_seeds_differ():
@@ -69,10 +69,10 @@ def test_different_seeds_differ():
 def test_report_fields():
     cfg = DataGenConfig(n=90, d=6, coherence_mode="low", kappa_A=3.0,
                         reg_nu=0.0, seed=12)
-    _, rep = generate(cfg)
-    assert rep.x_true.shape == (6,)
-    assert rep.measured_coherence >= 1.0
-    assert rep.measured_condition >= 1.0
+    ds, x_true = generate(cfg)
+    assert x_true.shape == (6,)
+    assert coherence(ds.A) >= 1.0
+    assert condition_number(ds.A) >= 1.0
 
 
 def test_coherence_of_flat_matrix_is_one():

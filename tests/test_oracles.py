@@ -186,8 +186,9 @@ def test_spectral_norm_small_matrices():
 
 
 def test_spectral_norm_power_iteration_path():
-    # Above d=200 the norm comes from 50 power iterations, which only
-    # resolve spectra with a real gap; plant one so the budget suffices.
+    # Large matrices, where an iterative estimate would be cheaper but not
+    # exact.  A planted gap is easy for power iteration; a gapless Gaussian
+    # spectrum is not: 50 power iterations under-read this one by about 3e-3.
     rng = np.random.default_rng(9)
     u = rng.standard_normal(210)
     u /= np.linalg.norm(u)
@@ -195,6 +196,10 @@ def test_spectral_norm_power_iteration_path():
     M = 10.0 * np.outer(u, u) + noise + noise.T
     expected = float(np.max(np.abs(np.linalg.eigvalsh(M))))
     assert np.isclose(spectral_norm(M), expected, rtol=1e-8, atol=0)
+    G = rng.standard_normal((300, 300))
+    G = G + G.T
+    expected = float(np.max(np.abs(np.linalg.eigvalsh(G))))
+    assert np.isclose(spectral_norm(G), expected, rtol=1e-12, atol=0)
 
 
 def test_noise_sample_summary():

@@ -8,7 +8,10 @@ provided:
 * ``Subsample`` averages s per-row curvature terms drawn without replacement.
 * ``GaussianSketch``, ``CountSketch`` and ``LessUniform`` compress the GLM
   square-root factor M (with M^T M + nu I = H) through a random s x n matrix
-  S with E[S^T S] = I, returning M^T S^T S M + nu I.
+  S with E[S^T S] = I, returning M^T S^T S M + nu I.  Gaussian S is a
+  dense ndarray; CountSketch S (one nonzero per column) is a CSC array and
+  LESS S (nnz_per_row nonzeros per row) a CSR array, so for these two the
+  product S @ M costs O(nnz(S) d) instead of O(s n d).
 
 ``noise_sample`` draws repeated estimates at a fixed point and summarizes the
 noise level; its tail-scale fit is a diagnostic heuristic and is never used
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .problem import _glm_hessian, _symmetrize_add_nu
 
@@ -108,32 +112,41 @@ def _require_glm(obj, kind):
         )
 
 
-def sketch_matrix(kind, n: int, rng) -> np.ndarray:
-    """Draw one s x n sketching matrix S with E[S^T S] = I."""
+def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
+    """Draw one s x n sketching matrix S with E[S^T S] = I.
+
+    Each kind comes in the form that is cheapest to apply to a dense n x d
+    M: Gaussian S is a dense ndarray (S @ M costs O(s n d)); CountSketch S
+    is a CSC array with one nonzero per column and LESS S a CSR array with
+    nnz_per_row nonzeros per row, so S @ M costs O(nnz(S) d).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(kind, GaussianSketch):
         return rng.standard_normal((kind.s, n)) / math.sqrt(kind.s)
     if isinstance(kind, CountSketch):
-        s = kind.s
-        S = np.zeros((s, n))
-        rows = rng.integers(0, s, size=n)
+        rows = rng.integers(0, kind.s, size=n)
         signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        S[rows, np.arange(n)] = signs
-        return S
+        return sparse.csc_array((signs, rows, np.arange(n + 1)),
+                                shape=(kind.s, n))
     if isinstance(kind, LessUniform):
         s, k = kind.s, kind.nnz_per_row
         if k is None:
             raise ValueError("nnz_per_row is unresolved; use resolve_kind")
         if k > n:
             raise ValueError("nnz_per_row cannot exceed n")
-        scale = math.sqrt(n / (s * k))
-        S = np.zeros((s, n))
-        for i in range(s):
-            pos = rng.choice(n, size=k, replace=False)
-            signs = 2.0 * rng.integers(0, 2, size=k) - 1.0
-            S[i, pos] = signs * scale
-        return S
+        # Floyd's algorithm, run for all s rows at once: step j draws t
+        # uniform in [0, j] and keeps it unless the row already holds t,
+        # in which case it keeps j.  Each row is a uniform k-subset.
+        pos = np.empty((s, k), dtype=np.intp)
+        for c, j in enumerate(range(n - k, n)):
+            t = rng.integers(0, j + 1, size=s)
+            taken = (pos[:, :c] == t[:, None]).any(axis=1)
+            pos[:, c] = np.where(taken, j, t)
+        signs = 2.0 * rng.integers(0, 2, size=(s, k)) - 1.0
+        vals = signs * math.sqrt(n / (s * k))
+        return sparse.csr_array((vals.ravel(), pos.ravel(),
+                                 np.arange(0, s * k + 1, k)), shape=(s, n))
     raise CapabilityError("not a sketch kind: %r" % (kind,))
 
 

@@ -29,6 +29,9 @@ from .solver import DEFAULT_BETA, DEFAULT_RHO, check_armijo
 NEVER = math.inf
 
 _BRACKET_LIMIT = 2 ** 62
+# v's left side grows without bound for every weight sequence, so its
+# bracket stops only where t + 1.0 nears the end of the float range.
+_V_BRACKET_LIMIT = 2 ** 1000
 
 
 @dataclass
@@ -174,11 +177,11 @@ def _k_lead(inputs: TheoryInputs, t_total: float) -> float:
                * math.log(inputs.d * t_total / inputs.delta)))
 
 
-def _double_until(reached, hi, failure: str):
-    """Double hi until reached(hi); RuntimeError(failure) beyond 2**62."""
+def _double_until(reached, hi, failure: str, limit=_BRACKET_LIMIT):
+    """Double hi until reached(hi); RuntimeError(failure) beyond limit."""
     while not reached(hi):
         hi *= 2
-        if hi > _BRACKET_LIMIT:
+        if hi > limit:
             raise RuntimeError(failure)
     return hi
 
@@ -308,7 +311,8 @@ def v_transition(inputs: TheoryInputs, i_total: float, u: float) -> float:
     if not below(start):
         return float(start)
     hi = _double_until(lambda t: not below(t), max(start, 1),
-                       "averaging noise never dominates")
+                       "averaging noise does not dominate before t = 2**1000",
+                       limit=_V_BRACKET_LIMIT)
     return float(_first_false(below, start, hi))
 
 
@@ -446,7 +450,10 @@ def substitute_back_checks(inputs: TheoryInputs,
         v = report.v_transition
         start = max(0, math.ceil(report.i_total + report.u_transition))
         holds = _v_lhs_log(inputs, v) >= rhs_log - 1e-9
-        minimal = v == start or _v_lhs_log(inputs, v - 1) < rhs_log
+        # Past 2**53, v - 1 rounds back to v; the float below v is the
+        # nearest point the left side can be told apart at.
+        prev = min(v - 1, math.nextafter(v, 0.0))
+        minimal = v == start or _v_lhs_log(inputs, prev) < rhs_log
         checks["v_boundary"] = holds and minimal
 
     offsets = np.unique(np.round(np.logspace(0.0, 6.0, 60))).astype(float)

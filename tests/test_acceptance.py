@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hessavg import averaging, theory
 from hessavg.averaging import LogPower, Power, Uniform, psi_bound
@@ -229,6 +230,8 @@ def test_criterion_7_property_suites(tmp_path):
         acc2 = np.zeros((n, n))
         for _ in range(N):
             S = sketch_matrix(kind, n, rng)
+            if sparse.issparse(S):
+                S = S.toarray()
             sts = S.T @ S
             acc += sts
             acc2 += sts * sts

@@ -362,6 +362,17 @@ def test_diag_precondition_violation_exits_4(capsys):
     capsys.readouterr()
 
 
+def test_diag_reports_noise_transition_past_2_62(capsys):
+    args = ["diag", "--kappa", "341.4", "--lambda-min", "0.1076",
+            "--upsilon", "0.1827", "--epsilon", "0.5", "--delta", "0.1",
+            "--d", "100", "--radius-nu", "0.5", "--lipschitz", "1",
+            "--f0-gap", "0.197", "--psi", "2", "--weights", "uniform"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["self_check"] == "pass"
+    assert 2.0 ** 62 < payload["v_transition"] < math.inf
+
+
 def test_diag_logpower_weights(capsys):
     args = [a for a in DIAG_DEFAULTS]
     args[args.index("--weights") + 1] = "logpower"

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.stats import chi2
 
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CapabilityError, CountSketch, Exact,
@@ -10,6 +13,11 @@ from hessavg.oracles import (CapabilityError, CountSketch, Exact,
                              Subsample, estimate, noise_sample, resolve_kind,
                              sketch_matrix, spectral_norm)
 from hessavg.problem import QuadraticTest, RegularizedLogistic
+
+
+def dense(S):
+    """S as a dense ndarray; the sparse sketch kinds return scipy arrays."""
+    return S.toarray() if sparse.issparse(S) else S
 
 
 def glm_instance(n=60, d=8, seed=3, reg_nu=1e-2):
@@ -68,7 +76,7 @@ def test_sketch_isometry_monte_carlo():
         acc = np.zeros((n, n))
         acc2 = np.zeros((n, n))
         for _ in range(N):
-            S = sketch_matrix(kind, n, rng)
+            S = dense(sketch_matrix(kind, n, rng))
             sts = S.T @ S
             acc += sts
             acc2 += sts * sts
@@ -84,7 +92,7 @@ def test_sketch_isometry_monte_carlo():
 
 def test_countsketch_structure():
     rng = np.random.default_rng(2)
-    S = sketch_matrix(CountSketch(6), 25, rng)
+    S = sketch_matrix(CountSketch(6), 25, rng).toarray()
     assert S.shape == (6, 25)
     nnz_per_col = np.count_nonzero(S, axis=0)
     assert np.all(nnz_per_col == 1)
@@ -95,7 +103,7 @@ def test_countsketch_structure():
 def test_less_row_structure():
     n, s, k = 30, 5, 4
     rng = np.random.default_rng(8)
-    S = sketch_matrix(LessUniform(s, k), n, rng)
+    S = sketch_matrix(LessUniform(s, k), n, rng).toarray()
     assert S.shape == (s, n)
     mag = math.sqrt(n / (s * k))
     for row in S:
@@ -112,11 +120,74 @@ def test_less_row_structure():
     (CountSketch(8),
      "26e12d9e18b500126e25a65bfe7470dbdc00e994f0ae90324029b0e108514368"),
     (LessUniform(8, 3),
-     "e90a651769ac1029276f0227f7a74e9d4b6f9372d4e5d21b5e1b00beca5093cd"),
+     "98a485cb18e5bbc2e8053c29198ef5407cdc0f750347bf2092ae10fcbffff3b7"),
 ])
 def test_sketch_streams_are_pinned(kind, digest):
-    S = sketch_matrix(kind, 50, np.random.default_rng(0))
+    S = dense(sketch_matrix(kind, 50, np.random.default_rng(0)))
     assert hashlib.sha256(S.tobytes()).hexdigest() == digest
+
+
+def test_sparse_sketch_estimates_match_dense_products():
+    # The sparse apply sums S @ M in another order than a dense product of
+    # the same S, so the two agree to a few ulp of ||M||^2, not bit for bit.
+    n, d, s = 1000, 100, 100
+    obj = glm_instance(n=n, d=d, seed=5)
+    x = np.sin(np.arange(float(d))) / d
+    M = obj.glm_square_root(x)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2
+    for kind in (CountSketch(s), LessUniform(s)):
+        est = estimate(kind, obj, x, np.random.default_rng(11))
+        S = sketch_matrix(resolve_kind(kind, d), n, np.random.default_rng(11))
+        Sd = S.toarray()
+        expected = M.T @ Sd.T @ Sd @ M + obj.reg_nu * np.eye(d)
+        assert np.max(np.abs(est - expected)) <= tol, kind
+
+
+def test_sparse_sketch_formats():
+    # CountSketch is applied column-wise and LESS row-wise.
+    S = sketch_matrix(CountSketch(6), 25, np.random.default_rng(1))
+    assert S.format == "csc" and S.nnz == 25
+    S = sketch_matrix(LessUniform(6, 4), 25, np.random.default_rng(1))
+    assert S.format == "csr" and S.nnz == 24
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), s=st.integers(1, 12), data=st.data())
+def test_less_rows_hold_k_distinct_positions_property(n, s, data):
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)),
+                  label="k")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    S = sketch_matrix(LessUniform(s, k), n, np.random.default_rng(seed))
+    pos = np.sort(S.indices.reshape(s, k), axis=1)
+    assert np.all((pos >= 0) & (pos < n))
+    assert np.all(np.diff(pos, axis=1) > 0)
+    Sd = S.toarray()
+    assert np.all(np.count_nonzero(Sd, axis=1) == k)
+    assert np.all(np.abs(Sd[Sd != 0]) == math.sqrt(n / (s * k)))
+
+
+def test_less_positions_are_uniform_chi_square():
+    # Column hits and within-row pairs of LESS positions against the
+    # uniform k-subset law, at a fixed seed.  Positions within a row are
+    # drawn without replacement, so the column statistic has mean
+    # n(1 - k/n) = 16 rather than 19; both cut-offs are conservative.
+    n, s, k, draws = 20, 5, 4, 20_000
+    rng = np.random.default_rng(2024)
+    rows = np.concatenate([
+        sketch_matrix(LessUniform(s, k), n, rng).indices.reshape(s, k)
+        for _ in range(draws)])
+    cols = np.bincount(rows.ravel(), minlength=n)
+    expected = rows.shape[0] * k / n
+    stat = float(np.sum((cols - expected) ** 2 / expected))
+    assert chi2.sf(stat, n - 1) > 1e-3, stat
+    a, b = np.triu_indices(k, 1)
+    lo = np.minimum(rows[:, a], rows[:, b]).ravel()
+    hi = np.maximum(rows[:, a], rows[:, b]).ravel()
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    pairs = np.bincount(lo * n + hi, minlength=n * n)[upper.ravel()]
+    expected = rows.shape[0] * a.size / pairs.size
+    stat = float(np.sum((pairs - expected) ** 2 / expected))
+    assert chi2.sf(stat, pairs.size - 1) > 1e-3, stat
 
 
 def test_less_default_density():

@@ -127,6 +127,34 @@ def test_weight_target_search_at_large_magnitudes():
     assert checks["v_boundary"]
 
 
+def test_noise_transition_past_the_integer_bracket():
+    # Uniform weights put v near 2.4e24, far past 2**62; the left side of
+    # v's inequality grows without bound, so the transition exists and the
+    # search must find it instead of reporting that it never comes.
+    inputs = theory.TheoryInputs(
+        kappa=341.4, lambda_min=0.1076, upsilon=0.1827, epsilon=0.5,
+        delta=0.1, d=100, radius_nu=0.5, lipschitz_L=1.0, f0_gap=0.197,
+        psi=2.0, weights=Uniform())
+    report = theory.transition_report(inputs)
+    assert 2.0 ** 62 < report.v_transition < math.inf
+    assert np.isclose(report.v_transition, 2.41e24, rtol=1e-2, atol=0)
+    checks = theory.substitute_back_checks(inputs, report)
+    assert all(checks.values()), checks
+
+
+def test_noise_transition_check_past_2_53():
+    # v is about 2.5e17, where v - 1 rounds back to v; the minimality check
+    # must look at the float below v instead.
+    inputs = theory.TheoryInputs(
+        kappa=19.66721653974668, lambda_min=0.35433354867027134,
+        upsilon=0.17158884928110416, epsilon=0.5327263675711666,
+        delta=0.002015795127569595, d=216, radius_nu=0.9542752207059307,
+        lipschitz_L=1.0, f0_gap=290.148752515712, psi=2.0, weights=Uniform())
+    report = theory.transition_report(inputs)
+    assert report.v_transition > 2.0 ** 53
+    assert theory.substitute_back_checks(inputs, report)["v_boundary"]
+
+
 def test_rate_curves_decrease():
     inputs = base_inputs()
     report = theory.transition_report(inputs)

@@ -39,6 +39,7 @@ from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
                      bfgs_run, run)
 
 CSV_VERSION = "# hessavg-csv v1"
+_CSV_BLOCK_ROWS = 256
 BIN_MAGIC = b"HAVG1"
 DNF = "dnf"
 TRACE_COLUMNS = ("t", "f", "grad_norm", "hstar_error", "stepsize",
@@ -402,12 +403,15 @@ def read_csv(path, what: str) -> list:
 
 def save_dataset_csv(path, ds: Dataset) -> None:
     """Dataset CSV: version comment, "n,d", n feature rows, one label row."""
-    # One format per row; converting row by row keeps the peak memory at
-    # that of the lines themselves.
-    row = ",".join(["%.17g"] * ds.d)
-    lines = [row % tuple(values.tolist()) for values in ds.A]
-    lines.append(",".join("%d" % v for v in ds.b))
-    write_csv(path, ("%d" % ds.n, "%d" % ds.d), lines)
+    # Streamed in blocks of rows, one format per block, so the peak memory
+    # is one block's text and not the whole file's.
+    line = ",".join(["%.17g"] * ds.d) + "\n"
+    with open(path, "w") as fh:
+        fh.write(_csv_text(("%d" % ds.n, "%d" % ds.d), []))
+        for start in range(0, ds.n, _CSV_BLOCK_ROWS):
+            block = ds.A[start:start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        fh.write(",".join("%d" % v for v in ds.b) + "\n")
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -1,14 +1,15 @@
 """Stochastic Hessian oracles.
 
-Every oracle returns a symmetric estimate H_hat(x) = H(x) + E(x) of the true
-Hessian, where E is a mean-zero random perturbation.  Four constructions are
-provided:
+Every oracle returns an estimate H_hat(x) = H(x) + E(x) of the true Hessian,
+where E is a mean-zero random perturbation.  On a GLM each is a self-product
+R^T R + nu I that numpy hands to BLAS syrk, so it is exactly symmetric with
+no symmetrize pass.  Four constructions are provided:
 
 * ``Exact`` returns H(x) itself (zero noise).
 * ``Subsample`` averages s per-row curvature terms drawn without replacement.
 * ``GaussianSketch``, ``CountSketch`` and ``LessUniform`` compress the GLM
   square-root factor M (with M^T M + nu I = H) through a random s x n matrix
-  S with E[S^T S] = I, returning M^T S^T S M + nu I.  Gaussian S is a
+  S with E[S^T S] = I, returning (SM)^T (SM) + nu I.  Gaussian S is a
   dense ndarray; CountSketch S (one nonzero per column) is a CSC array and
   LESS S (nnz_per_row nonzeros per row) a CSR array, so for these two the
   product S @ M costs O(nnz(S) d) instead of O(s n d).
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .problem import _glm_hessian, _symmetrize_add_nu
+from .problem import _gram
 
 
 class CapabilityError(TypeError):
@@ -167,13 +168,13 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
         m = obj.margins(x) if margins is None else margins
         l = obj.curvature_weights(x, margins=m[idx])
-        return _glm_hessian(ds.A[idx], l, float(kind.s), obj.reg_nu)
+        # R is formed as glm_square_root forms it from all n rows, so a
+        # full subsample (s = n) reproduces the exact Hessian bit for bit.
+        return _gram(np.sqrt(l / kind.s)[:, None] * ds.A[idx], obj.reg_nu)
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x, margins=margins)
-        S = sketch_matrix(kind, M.shape[0], rng)
-        SM = S @ M
-        return _symmetrize_add_nu(SM.T @ SM, obj.reg_nu)
+        return _gram(sketch_matrix(kind, M.shape[0], rng) @ M, obj.reg_nu)
     raise CapabilityError("unknown oracle kind: %r" % (kind,))
 
 

@@ -95,19 +95,14 @@ class Objective(ABC):
     def hessian(self, x, margins=None) -> np.ndarray: ...
 
 
-def _glm_hessian(rows: np.ndarray, weights: np.ndarray, denom: float,
-                 nu: float) -> np.ndarray:
-    """(1/denom) * rows^T diag(weights) rows + nu*I, exactly symmetrized.
+def _gram(r: np.ndarray, nu: float) -> np.ndarray:
+    """r^T r + nu*I, the one form of every GLM Hessian and estimate.
 
-    Shared by the exact Hessian and the subsampled oracle so that a full
-    subsample (s = n) reproduces the exact Hessian bit for bit.
+    numpy sends the self-product r^T r to BLAS syrk, which does half the
+    flops of a general product and fills both triangles with the same
+    values, so the result is exactly symmetric.
     """
-    return _symmetrize_add_nu(rows.T @ (weights[:, None] * rows) / denom, nu)
-
-
-def _symmetrize_add_nu(h: np.ndarray, nu: float) -> np.ndarray:
-    """(h + h^T) / 2 + nu*I, the tail shared with the sketching oracles."""
-    h = 0.5 * (h + h.T)
+    h = r.T @ r
     h[np.diag_indices_from(h)] += nu
     return h
 
@@ -165,9 +160,7 @@ class RegularizedLogistic(Objective):
         return np.sqrt(l / self.dataset.n)[:, None] * self.dataset.A
 
     def hessian(self, x, margins=None) -> np.ndarray:
-        l = self.curvature_weights(x, margins)
-        ds = self.dataset
-        return _glm_hessian(ds.A, l, float(ds.n), self.reg_nu)
+        return _gram(self.glm_square_root(x, margins), self.reg_nu)
 
 
 def _logistic_gradient(A, b, m, x, nu):
@@ -188,8 +181,8 @@ class QuadraticTest(Objective):
         c = np.asarray(c, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
-        if not np.allclose(Q, Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
+        if not np.array_equal(Q, Q.T):
+            raise ValueError("Q must be exactly symmetric")
         # Positive definiteness check; Cholesky raises on failure.
         np.linalg.cholesky(Q)
         if c.shape != (Q.shape[0],):
@@ -296,9 +289,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         raise RuntimeError(
             f"reference solve did not reach ||grad|| <= {REF_GRAD_TOL:g} "
             f"within {REF_MAX_ITER} iterations (final {grad_norm:.3e})")
-    h_star = obj.hessian(x)
-    h_star = 0.5 * (h_star + h_star.T)
-    return ReferenceSolution(x_star=x, h_star=h_star)
+    return ReferenceSolution(x_star=x, h_star=obj.hessian(x))
 
 
 def hstar_error(x, ref: ReferenceSolution) -> float:

@@ -384,6 +384,18 @@ def transition_report(inputs: TheoryInputs) -> TransitionReport:
         t2_clamped=_t2_log_argument(inputs) <= 1.0)
 
 
+def _rate_offsets(base: float) -> np.ndarray:
+    """Offsets 0 to 1e6 units past base at which a rate must strictly fall.
+
+    A rate reads its position through ln(base + t).  Past base ~ 1e14 a step
+    of 1 cannot move that log by one of its ulps, so the unit is 2**16 ulps
+    of base: at least 32 ulps of the log, and 1 below base = 2**36.
+    """
+    offsets = np.unique(np.round(np.logspace(0.0, 6.0, 60)))
+    unit = max(1.0, math.ulp(base) * 2.0 ** 16)
+    return unit * np.concatenate(([0.0], offsets))
+
+
 def substitute_back_checks(inputs: TheoryInputs,
                            report: TransitionReport | None = None) -> dict:
     """Substitute every calculator output back into its defining relation.
@@ -456,12 +468,10 @@ def substitute_back_checks(inputs: TheoryInputs,
         minimal = v == start or _v_lhs_log(inputs, prev) < rhs_log
         checks["v_boundary"] = holds and minimal
 
-    offsets = np.unique(np.round(np.logspace(0.0, 6.0, 60))).astype(float)
-    offsets = np.concatenate(([0.0], offsets))
     rho_vals = [rho_t(inputs, report.t_total, report.j_transition, t)
-                for t in offsets]
+                for t in _rate_offsets(report.t_total + report.j_transition)]
     theta_vals = [theta_t(inputs, report.i_total, report.u_transition, t)
-                  for t in offsets]
+                  for t in _rate_offsets(report.i_total + report.u_transition)]
     checks["rho_t_decreasing"] = bool(np.all(np.diff(rho_vals) < 0.0))
     checks["theta_t_decreasing"] = bool(np.all(np.diff(theta_vals) < 0.0))
     return checks

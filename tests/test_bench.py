@@ -288,16 +288,18 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_dataset_csv_rows_match_per_element_format(tmp_path):
+    # 600 rows span several write blocks, the last one partial.
     rng = np.random.default_rng(21)
-    A = rng.standard_normal((30, 7)) * 10.0 ** rng.integers(-300, 300,
-                                                           size=(30, 7))
+    A = rng.standard_normal((600, 7)) * 10.0 ** rng.integers(-300, 300,
+                                                            size=(600, 7))
     A[0, :5] = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1 / 3]
-    ds = Dataset(A=A, b=np.where(rng.random(30) < 0.5, 1, -1))
+    ds = Dataset(A=A, b=np.where(rng.random(600) < 0.5, 1, -1))
     path = tmp_path / "data.csv"
     save_dataset_csv(path, ds)
-    rows = path.read_text().splitlines()[2:-1]
-    assert rows == [",".join("%.17g" % v for v in ds.A[i])
-                    for i in range(ds.n)]
+    rows = [",".join("%.17g" % v for v in ds.A[i]) for i in range(ds.n)]
+    labels = ",".join("%d" % v for v in ds.b)
+    assert path.read_text() == "\n".join(
+        [CSV_VERSION, "600,7", *rows, labels]) + "\n"
 
 
 def test_dataset_binary_roundtrip(tmp_path):

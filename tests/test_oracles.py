@@ -48,6 +48,13 @@ def test_subsample_full_sample_is_exact():
     assert np.array_equal(est, obj.hessian(x))
 
 
+def test_subsample_full_sample_is_exact_at_blocked_size():
+    obj = glm_instance(n=300, d=100, seed=21)
+    x = np.cos(np.arange(100.0)) / 10
+    est = estimate(Subsample(300), obj, x, np.random.default_rng(0))
+    assert np.array_equal(est, obj.hessian(x))
+
+
 def test_oracle_unbiasedness_monte_carlo():
     # Entrywise |mean - H| must stay within 4 standard errors over 3000
     # draws, for every stochastic oracle.
@@ -121,7 +128,7 @@ def test_less_row_structure():
      "26e12d9e18b500126e25a65bfe7470dbdc00e994f0ae90324029b0e108514368"),
     (LessUniform(8, 3),
      "98a485cb18e5bbc2e8053c29198ef5407cdc0f750347bf2092ae10fcbffff3b7"),
-])
+], ids=["gauss", "countsketch", "less"])
 def test_sketch_streams_are_pinned(kind, digest):
     S = dense(sketch_matrix(kind, 50, np.random.default_rng(0)))
     assert hashlib.sha256(S.tobytes()).hexdigest() == digest
@@ -236,6 +243,20 @@ def test_estimates_are_symmetric():
                  LessUniform(10)):
         m = estimate(kind, obj, x, rng)
         assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("d", [100, 400])
+def test_estimates_are_symmetric_at_blocked_sizes(d):
+    # At these sizes BLAS splits a product into blocks and threads, and a
+    # general product such as rows^T (w * rows) rounds its two triangles
+    # differently.
+    obj = glm_instance(n=2 * d, d=d)
+    x = np.linspace(-1, 1, d)
+    rng = np.random.default_rng(17)
+    for kind in (Exact(), Subsample(d), GaussianSketch(d), CountSketch(d),
+                 LessUniform(d)):
+        m = estimate(kind, obj, x, rng)
+        assert np.array_equal(m, m.T), kind
 
 
 def test_estimate_determinism():

@@ -177,6 +177,8 @@ def test_quadratic_objective():
 def test_quadratic_validation():
     with pytest.raises(ValueError):
         QuadraticTest(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        QuadraticTest(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), np.zeros(2))
     with pytest.raises(np.linalg.LinAlgError):
         QuadraticTest(np.diag([1.0, -1.0]), np.zeros(2))
 
@@ -191,6 +193,14 @@ def test_reference_solution_low_coherence():
     assert hstar_error(ref.x_star, ref) == 0.0
     assert np.array_equal(ref.h_star, ref.h_star.T)
     assert np.linalg.eigvalsh(ref.h_star).min() >= 1e-3 - 1e-12
+
+
+def test_reference_hessian_is_exactly_symmetric_at_blocked_size():
+    cfg = DataGenConfig(n=300, d=100, coherence_mode="high", kappa_A=10.0,
+                        reg_nu=1e-3, seed=6)
+    ds, _ = generate(cfg)
+    ref = solve_reference(RegularizedLogistic(ds, 1e-3), np.zeros(100))
+    assert np.array_equal(ref.h_star, ref.h_star.T)
 
 
 def test_reference_solution_high_coherence():

@@ -342,27 +342,26 @@ def records_sha256(result):
     return hashlib.sha256(blob + result.final_x.tobytes()).hexdigest()
 
 
-# Computed once the line search moved margins along the search ray and the
-# logistic kernels used one exp each (numpy 2.4 with OpenBLAS 0.3.31 on
-# x86-64); that change kept every record count and backtrack total.  The two
-# weightavg-countsketch records were computed again when CountSketch became a
-# sparse array: the draws are the same, and a dense copy of the new S still
-# gives the old records, but S @ M now sums in another order.  A change
-# that moves these records changes floats and must say so; another BLAS
-# build may round differently.
+# Computed once every GLM Hessian became the self-product R^T R + nu I with
+# R = sqrt(l/s) * rows (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): the
+# square root rounds, so the exact Hessian, the subsample estimates and the
+# reference solution move by about 1e-15 relative, and all six records with
+# them.  Every record count, backtrack total and skip count stayed the same.
+# A change that moves these records changes floats and must say so; another
+# BLAS build may round differently.
 PINNED_RECORDS = {
     ("low", "noavg-subsample"): (
-        93, "bf7797cf931e5b772d5b32fcd954e6f74b84d278c7a5825e7b22fbb979a869e0"),
+        93, "f878c15ded29020929da6c568378739973bfdb4a4c4d340999b0ac550203026f"),
     ("low", "weightavg-countsketch"): (
-        36, "4b8e577aae1d031b3eb635360479e25e323faba965e01fbd86af5f8bd351cf0e"),
+        36, "0e4f51ebb6608d32f2956e395495819c807823ecd52c34bc43d408abf6ab41e8"),
     ("low", "bfgs"): (
-        82, "cfed72148823dad24e94023a449bb45f73fba19df052eb96fa23adc85a541e1d"),
+        82, "ddbdabfe435288eaad505e1606ea1c5c0c03542fec352171f49e965652b49673"),
     ("high", "noavg-subsample"): (
-        116, "f42e812a0ece7371200bd2e92e6d866b8e139394c87d7fb34eaa4df85c870438"),
+        116, "c57934a6bf52e3242326dccc4367c06d484089cfe241d0b686901810e86071e5"),
     ("high", "weightavg-countsketch"): (
-        31, "e3b4c4b3a077674d13ebb45611db6478ab3b99d822f8fdc53686d8d14945370e"),
+        31, "7dc5c7818ac9635b017f723c5c91b4eab24d4673adaeb5908a5952a0cf6ce207"),
     ("high", "bfgs"): (
-        109, "fa21c843fd564a9a492d3ec4da34a1c9d03c4b1fcc33600a569a4f7277b78120"),
+        109, "147521b0c7fb75139cc675a9d0acd3f3a6c538c76c0b6c03d4d09b5f48858e00"),
 }
 
 

@@ -155,6 +155,22 @@ def test_noise_transition_check_past_2_53():
     assert theory.substitute_back_checks(inputs, report)["v_boundary"]
 
 
+def test_rate_checks_past_1e14():
+    # The constants of the low-coherence acceptance grid put I + U near
+    # 2.8e15, where an offset of one unit cannot move ln(I + U + t); the
+    # rate checks must step far enough that a right rate still falls.
+    inputs = theory.TheoryInputs(
+        kappa=1295, lambda_min=1.1e-3, upsilon=1.22, epsilon=0.5, delta=0.1,
+        d=100, radius_nu=0.5, lipschitz_L=1.0, f0_gap=0.265,
+        psi=psi_bound(Uniform(), 1000), weights=Uniform())
+    report = theory.transition_report(inputs)
+    assert np.isclose(report.t1, 1.5e4, rtol=0.05)
+    assert np.isclose(report.t2, 5.4e11, rtol=0.05)
+    assert report.i_total + report.u_transition > 1e15
+    checks = theory.substitute_back_checks(inputs, report)
+    assert all(checks.values()), checks
+
+
 def test_rate_curves_decrease():
     inputs = base_inputs()
     report = theory.transition_report(inputs)

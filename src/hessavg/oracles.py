@@ -14,6 +14,12 @@ no symmetrize pass.  Four constructions are provided:
   LESS S (nnz_per_row nonzeros per row) a CSR array, so for these two the
   product S @ M costs O(nnz(S) d) instead of O(s n d).
 
+``estimate`` draws S itself unless the caller passes one as ``sketch=``.
+``solver.run`` does that for ``GaussianSketch``: it draws each next S with
+``sketch_matrix`` on a helper thread, from the run's one generator and in
+the same order, so the estimates do not change.  S does not depend on x,
+so it can be drawn before x is known.
+
 ``noise_sample`` draws repeated estimates at a fixed point and summarizes the
 noise level; its tail-scale fit is a diagnostic heuristic and is never used
 inside the solver.  ``spectral_norm`` takes every norm from a full symmetric
@@ -151,11 +157,13 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
     raise CapabilityError("not a sketch kind: %r" % (kind,))
 
 
-def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
+def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
     """Draw one stochastic Hessian estimate at x: a symmetric d x d matrix.
 
     margins, when given, are ``obj.margins(x)``; the objective then skips
-    its own pass over the data.
+    its own pass over the data.  sketch, when given, is the S of a sketch
+    kind, already drawn by ``sketch_matrix(kind, n, rng)``; rng is then not
+    used.
     """
     kind = resolve_kind(kind, obj.dim)
     if isinstance(kind, Exact):
@@ -174,7 +182,9 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x, margins=margins)
-        return _gram(sketch_matrix(kind, M.shape[0], rng) @ M, obj.reg_nu)
+        if sketch is None:
+            sketch = sketch_matrix(kind, M.shape[0], rng)
+        return _gram(sketch @ M, obj.reg_nu)
     raise CapabilityError("unknown oracle kind: %r" % (kind,))
 
 

@@ -4,6 +4,8 @@ Each iteration draws a stochastic Hessian estimate, folds it into the
 running weighted average, and takes a damped Newton step on the averaged
 matrix.  The averaging update happens every iteration, including skipped
 ones, so the estimate keeps improving while the direction is unusable.
+An estimate with a non-finite entry is the one exception: it is left out,
+so that one bad draw cannot poison the average for good.
 
 An iteration is skipped (x unchanged) when the averaged matrix has no
 Cholesky factorization, when the solved direction is not a descent
@@ -18,8 +20,17 @@ search ray, and the accepted trial's margins serve its value, its gradient
 and the next Hessian estimate.  An iteration makes one pass over the data
 for the search direction and one for the gradient, however many trials its
 search takes.
+
+A Gaussian-sketch run draws the next sketch S_{t+1} on one helper thread
+while iteration t runs on the calling thread.  numpy fills the normals
+without holding the GIL, so the draw overlaps the rest of the iteration.
+Every S comes from the run's one generator in the same order as before, so
+the records do not change; the one draw left over at the end is dropped.
+The sparse sketches are drawn inline: their draws hold the GIL, so a
+helper thread could not overlap them with the iteration.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,7 +39,8 @@ import scipy.linalg
 
 from ._blas import single_thread
 from .averaging import Uniform, initial_state, update
-from .oracles import Exact, estimate
+from .oracles import (Exact, GaussianSketch, _require_glm, estimate,
+                      sketch_matrix)
 from .problem import ReferenceSolution, _as_vector, hstar_error
 
 DEFAULT_BETA = 1e-4
@@ -180,19 +192,46 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
     """Run the averaged stochastic Newton loop from x0.
 
     Stops once the H*-metric error drops to config.tol_hstar (checked after
-    every update) or after config.max_iter iterations.
+    every update) or after config.max_iter iterations.  An estimate with a
+    non-finite entry is not folded in: the average and its weight index t
+    stay as they were, so the next finite estimate takes that weight.
+
+    With a ``GaussianSketch`` oracle the run owns one helper thread that
+    draws each next S while the current iteration runs; it is closed
+    before the run returns or raises.
     """
+    kind = config.oracle
     rng = np.random.default_rng([config.seed, 1])
     state = initial_state(obj.dim)
+    helper = ahead = None
+    if isinstance(kind, GaussianSketch):
+        _require_glm(obj, kind)
+        n = obj.dataset.n
+        # No thread starts before the first submit, after the check above.
+        helper = ThreadPoolExecutor(max_workers=1)
 
     def averaged_direction(x, g, margins):
-        # The average is updated every iteration, skipped ones included.
-        nonlocal state
-        state = update(state, config.weights,
-                       estimate(config.oracle, obj, x, rng, margins=margins))
+        # The average is updated every iteration, skipped ones included;
+        # only a non-finite estimate is left out.
+        nonlocal state, ahead
+        sketch = None
+        if helper is not None:
+            sketch = ahead.result()
+            ahead = helper.submit(sketch_matrix, kind, n, rng)
+        h = estimate(kind, obj, x, rng, margins=margins, sketch=sketch)
+        if np.isfinite(h).all():
+            state = update(state, config.weights, h)
         return newton_direction(state.h_tilde, g)
 
-    return _descend(obj, x0, config, ref, averaged_direction)
+    try:
+        if helper is not None:
+            ahead = helper.submit(sketch_matrix, kind, n, rng)
+        return _descend(obj, x0, config, ref, averaged_direction)
+    finally:
+        # The draw made ahead for the iteration after the last one is
+        # dropped unread; shutdown waits for it, so no thread outlives run.
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
 
 @single_thread()

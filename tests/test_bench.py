@@ -2,10 +2,15 @@ import copy
 import dataclasses
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hessavg import bench
 from hessavg.averaging import LastOnly, LogPower, Uniform
@@ -310,6 +315,38 @@ def test_dataset_binary_roundtrip(tmp_path):
     save_dataset_binary(path, ds)
     loaded = load_dataset(path)
     assert np.array_equal(loaded.A, ds.A)
+    assert np.array_equal(loaded.b, ds.b)
+
+
+# Any finite float64, with the edge values always in the mix: signed zero,
+# the smallest subnormal and normal, and the largest magnitudes.
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.79e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    # n up to 600 crosses the 256-row CSV write block twice.
+    n = draw(st.integers(1, 600))
+    d = draw(st.integers(1, 6))
+    A = draw(arrays(np.float64, (n, d), elements=FEATURE_VALUES))
+    b = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    return Dataset(A=A, b=b)
+
+
+@pytest.mark.parametrize("save", [save_dataset_csv, save_dataset_binary],
+                         ids=["csv", "binary"])
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets())
+def test_dataset_files_roundtrip_any_finite_values(save, ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data"
+        save(path, ds)
+        loaded = load_dataset(path)
+    assert loaded.A.shape == ds.A.shape
+    assert loaded.A.tobytes() == ds.A.tobytes()
     assert np.array_equal(loaded.b, ds.b)
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hessavg import solver
 from hessavg.averaging import LastOnly, LogPower, Uniform, update
 from hessavg.bench import ratio_series
 from hessavg.datagen import DataGenConfig, generate
-from hessavg.oracles import CountSketch, Exact, Subsample
+from hessavg.oracles import (CapabilityError, CountSketch, Exact,
+                             GaussianSketch, LessUniform, Subsample)
 from hessavg.problem import (QuadraticTest, ReferenceSolution,
                              RegularizedLogistic, solve_reference)
 from hessavg.solver import SolverConfig, bfgs_run, newton_direction, run
@@ -362,25 +366,59 @@ PINNED_RECORDS = {
         31, "7dc5c7818ac9635b017f723c5c91b4eab24d4673adaeb5908a5952a0cf6ce207"),
     ("high", "bfgs"): (
         109, "147521b0c7fb75139cc675a9d0acd3f3a6c538c76c0b6c03d4d09b5f48858e00"),
+    # Pinned while each S was still drawn inline by estimate; drawing it one
+    # iteration ahead on a helper thread must leave them unchanged.
+    ("low", "unifavg-gauss"): (
+        27, "18506a8fd679cb15f923889888b0f342fe5071ec69e781b2835b223d0da48cb0"),
+    ("high", "noavg-gauss"): (
+        80, "24ec9533574631e794f52ad7ca2ea1f6e221b043c207d73f41dc1f447e073468"),
 }
 
 
-@pytest.mark.parametrize("mode,solve", sorted(PINNED_RECORDS))
-def test_logistic_records_are_pinned(mode, solve):
+def pinned_problem(mode):
     ds, _ = generate(DataGenConfig(n=200, d=20, coherence_mode=mode,
                                    kappa_A=20.0, reg_nu=1e-3, seed=4))
     obj = RegularizedLogistic(ds, 1e-3)
-    ref = solve_reference(obj, np.zeros(20))
+    return obj, solve_reference(obj, np.zeros(20))
+
+
+def pinned_solve(obj, ref, solve):
+    """(record count, records_sha256) of one PINNED_RECORDS solve."""
     if solve == "bfgs":
         result = bfgs_run(obj, np.zeros(20), SolverConfig(max_iter=300), ref)
     else:
         oracle, weights = {"noavg-subsample": (Subsample(20), LastOnly()),
                            "weightavg-countsketch": (CountSketch(20),
-                                                     LogPower())}[solve]
+                                                     LogPower()),
+                           "unifavg-gauss": (GaussianSketch(20), Uniform()),
+                           "noavg-gauss": (GaussianSketch(20), LastOnly()),
+                           }[solve]
         result = run(obj, np.zeros(20), SolverConfig(
             oracle=oracle, weights=weights, max_iter=300, seed=2), ref)
-    assert (len(result.records), records_sha256(result)) == \
-        PINNED_RECORDS[(mode, solve)]
+    return len(result.records), records_sha256(result)
+
+
+@pytest.mark.parametrize("mode,solve", sorted(PINNED_RECORDS))
+def test_logistic_records_are_pinned(mode, solve):
+    obj, ref = pinned_problem(mode)
+    assert pinned_solve(obj, ref, solve) == PINNED_RECORDS[(mode, solve)]
+
+
+def test_concurrent_gaussian_runs_keep_their_records():
+    # Four runs at once, each with its own helper thread, on a short switch
+    # interval: a draw taken out of order or from a shared stream would
+    # move a record.
+    obj, ref = pinned_problem("low")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(pinned_solve, obj, ref, "unifavg-gauss")
+                       for _ in range(4)]
+            outcomes = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [PINNED_RECORDS[("low", "unifavg-gauss")]] * 4
 
 
 PINNED_QUADRATIC = {
@@ -400,3 +438,113 @@ def test_quadratic_records_are_pinned(solve):
                               tol_hstar=1e-12, seed=0)
         result = run(obj, np.zeros(6), config, ref)
     assert records_sha256(result) == PINNED_QUADRATIC[solve]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+class NaNValueLogistic(RegularizedLogistic):
+    """A logistic objective whose value is NaN everywhere."""
+
+    def value(self, x, margins=None):
+        return float("nan")
+
+
+@pytest.mark.parametrize("exit_path", ["converged", "max_iter", "non-finite",
+                                       "raises"])
+def test_gaussian_run_closes_its_helper_thread(exit_path, thread_starts,
+                                               monkeypatch):
+    obj, ref = logistic_setup()
+    config = SolverConfig(oracle=GaussianSketch(40), weights=Uniform(),
+                          max_iter=80, tol_hstar=1e-8, seed=5)
+    if exit_path == "max_iter":
+        config = dataclasses.replace(config, max_iter=3, tol_hstar=0.0)
+    if exit_path == "non-finite":
+        obj = NaNValueLogistic(obj.dataset, obj.reg_nu)
+    if exit_path == "raises":
+        error = RuntimeError("third gradient")
+        gradient, calls = obj.gradient, []
+
+        def failing(x, margins=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error
+            return gradient(x, margins=margins)
+
+        monkeypatch.setattr(obj, "gradient", failing)
+    before = threading.active_count()
+    if exit_path == "raises":
+        with pytest.raises(RuntimeError) as info:
+            run(obj, np.zeros(10), config, ref)
+        assert info.value is error
+    else:
+        result = run(obj, np.zeros(10), config, ref)
+        expected = {"converged": result.iterations_to_tol, "max_iter": 3,
+                    "non-finite": 1}[exit_path]
+        assert len(result.records) == expected
+        assert result.converged == (exit_path == "converged")
+    assert len(thread_starts) == 1
+    assert not thread_starts[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("oracle", [Exact(), Subsample(20), CountSketch(40),
+                                    LessUniform(40)], ids=type)
+def test_only_gaussian_runs_start_a_thread(oracle, thread_starts):
+    obj, ref = logistic_setup()
+    config = SolverConfig(oracle=oracle, weights=Uniform(), max_iter=80,
+                          tol_hstar=1e-8, seed=5)
+    assert run(obj, np.zeros(10), config, ref).converged
+    assert thread_starts == []
+
+
+def test_gaussian_sketch_on_quadratic_raises_before_any_thread(thread_starts):
+    obj, ref = quadratic_setup()
+    config = SolverConfig(oracle=GaussianSketch(4), weights=Uniform(),
+                          max_iter=5, seed=0)
+    with pytest.raises(CapabilityError):
+        run(obj, np.zeros(6), config, ref)
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("oracle", [Subsample(20), GaussianSketch(40)],
+                         ids=type)
+def test_non_finite_estimate_is_left_out_of_the_average(oracle, monkeypatch):
+    obj, ref = logistic_setup()
+    config = SolverConfig(oracle=oracle, weights=Uniform(), max_iter=200,
+                          tol_hstar=1e-8, seed=5)
+    baseline = run(obj, np.zeros(10), config, ref)
+    estimate, calls, updates = solver.estimate, [], []
+
+    def third_is_nan(*args, **kwargs):
+        h = estimate(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            h = h.copy()
+            h[0, 1] = np.nan
+        return h
+
+    def counting_update(state, weights, h):
+        updates.append(state.t)
+        return update(state, weights, h)
+
+    monkeypatch.setattr(solver, "estimate", third_is_nan)
+    monkeypatch.setattr(solver, "update", counting_update)
+    result = run(obj, np.zeros(10), config, ref)
+    assert result.converged
+    skips = [sum(r.skipped for r in res.records) for res in (baseline, result)]
+    assert skips[1] <= skips[0] + 1
+    # The NaN estimate is not folded in and does not advance t.
+    assert len(updates) == len(result.records) - 1
+    assert updates == list(range(-1, len(updates) - 1))

@@ -40,11 +40,12 @@ class Power:
         if not self.p >= 1:
             raise ValueError("power exponent p must be >= 1")
 
-    def weight(self, t: int) -> float:
-        return float(t + 1) ** self.p
-
     def log_weight(self, t: float) -> float:
         return self.p * math.log(t + 1)
+
+    def inverse_log_weight(self, log_w: float) -> float:
+        """The t with ln w(t) = log_w: exp(log_w / p) - 1."""
+        return math.expm1(log_w / self.p)
 
     def growth_ratio(self, t: float) -> float:
         return self.p / (t + 1.0)
@@ -76,12 +77,16 @@ class LogPower:
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
 
-    def weight(self, t: int) -> float:
-        return math.exp(self.scale * math.log(t + 1) ** 2)
-
     def log_weight(self, t: float) -> float:
         lt = math.log(t + 1)
         return self.scale * lt * lt
+
+    def inverse_log_weight(self, log_w: float) -> float:
+        """The t >= 0 with ln w(t) = log_w: exp(sqrt(log_w / scale)) - 1.
+
+        ln w rises from 0 at t = 0, so every log_w <= 0 gives t = 0.
+        """
+        return math.expm1(math.sqrt(max(log_w, 0.0) / self.scale))
 
     def growth_ratio(self, t: float) -> float:
         return 2.0 * self.scale * math.log(t + 1.0) / (t + 1.0)
@@ -107,14 +112,6 @@ def _sequence(seq):
     if not isinstance(seq, (Power, LogPower)):
         raise TypeError("unknown weight sequence: %r" % (seq,))
     return seq
-
-
-def weight(seq, t: int) -> float:
-    """w(t) for integer t >= -1, with w(-1) = 0."""
-    seq = _sequence(seq)
-    if t < -1:
-        raise ValueError("t must be >= -1")
-    return 0.0 if t == -1 else seq.weight(t)
 
 
 def log_weight(seq, t: int) -> float:

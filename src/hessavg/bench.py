@@ -39,8 +39,8 @@ from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
                      bfgs_run, run)
 
 CSV_VERSION = "# hessavg-csv v1"
-_CSV_BLOCK_ROWS = 256
 BIN_MAGIC = b"HAVG1"
+_BIN_HEADER = struct.Struct("<5sQQ")  # BIN_MAGIC, then uint64 n and d
 DNF = "dnf"
 TRACE_COLUMNS = ("t", "f", "grad_norm", "hstar_error", "stepsize",
                  "skipped", "backtracks")
@@ -140,7 +140,7 @@ class ExperimentGrid:
                 raise ValueError("%s must be nonempty" % name)
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
@@ -153,6 +153,8 @@ class ExperimentGrid:
                               kappa_A=kappa_a(self.d, kappa_power),
                               reg_nu=self.reg_nu, seed=self.base_seed)
         for s_mult in self.s_list:
+            if not math.isfinite(s_mult):
+                raise ValueError("s_list entry %r is not finite" % (s_mult,))
             s = sample_size(s_mult, self.d)
             if not 1 <= s <= self.n:
                 raise ValueError("s_list entry %r gives s = %d, outside "
@@ -364,21 +366,14 @@ def aggregate_rows(grid: ExperimentGrid, runs: list) -> list:
     return rows
 
 
-def rows_to_csv(grid: ExperimentGrid, rows: list) -> str:
-    """Render aggregated rows as the versioned benchmark CSV."""
-    columns = ["coherence", "kappa_a", "s", "oracle"]
-    for variant in grid.variants:
-        columns += ["%s_median" % variant, "%s_iqr" % variant]
-    if grid.include_bfgs:
-        columns += ["bfgs_median", "bfgs_iqr"]
-    lines = []
-    for row in rows:
-        parts = []
-        for col in columns:
-            value = row[col]
-            parts.append("%g" % value if isinstance(value, float) else str(value))
-        lines.append(",".join(parts))
-    return _csv_text(columns, lines)
+def rows_to_csv(rows: list) -> str:
+    """Render aggregated rows as the versioned benchmark CSV.
+
+    The columns are the row keys, which aggregate_rows inserts in order.
+    """
+    lines = [",".join("%g" % v if isinstance(v, float) else str(v)
+                      for v in row.values()) for row in rows]
+    return _csv_text(list(rows[0]), lines)
 
 
 def _csv_text(header, lines) -> str:
@@ -403,14 +398,9 @@ def read_csv(path, what: str) -> list:
 
 def save_dataset_csv(path, ds: Dataset) -> None:
     """Dataset CSV: version comment, "n,d", n feature rows, one label row."""
-    # Streamed in blocks of rows, one format per block, so the peak memory
-    # is one block's text and not the whole file's.
-    line = ",".join(["%.17g"] * ds.d) + "\n"
     with open(path, "w") as fh:
         fh.write(_csv_text(("%d" % ds.n, "%d" % ds.d), []))
-        for start in range(0, ds.n, _CSV_BLOCK_ROWS):
-            block = ds.A[start:start + _CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        np.savetxt(fh, ds.A, fmt="%.17g", delimiter=",")
         fh.write(",".join("%d" % v for v in ds.b) + "\n")
 
 
@@ -422,8 +412,9 @@ def load_dataset_csv(path) -> Dataset:
                 or any(len(row) != d for row in rows[1:-1])):
             raise ValueError("expected %d rows of %d fields, then %d labels"
                              % (n, d, n))
-        A = np.array([[float(v) for v in rows[1 + i]] for i in range(n)])
-        b = np.array([int(float(v)) for v in rows[n + 1]], dtype=np.int64)
+        A = np.array(rows[1:-1], dtype=float)
+        # Labels truncate toward zero; Dataset rejects any but -1 and +1.
+        b = np.trunc(np.array(rows[-1], dtype=float))
         return Dataset(A=A, b=b)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
@@ -432,36 +423,25 @@ def load_dataset_csv(path) -> Dataset:
 def save_dataset_binary(path, ds: Dataset) -> None:
     """Dataset binary: magic HAVG1, uint64 n and d, then row-major f64 A, f64 labels (all little-endian)."""
     with open(path, "wb") as fh:
-        fh.write(BIN_MAGIC)
-        fh.write(struct.pack("<QQ", ds.n, ds.d))
-        fh.write(np.ascontiguousarray(ds.A, dtype="<f8").tobytes())
-        fh.write(ds.b.astype("<f8").tobytes())
-
-
-def load_dataset_binary(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:len(BIN_MAGIC)] != BIN_MAGIC:
-        raise ValueError("%s: not a dataset binary (bad magic)" % path)
-    n, d = struct.unpack_from("<QQ", blob, len(BIN_MAGIC))
-    offset = len(BIN_MAGIC) + 16
-    expected = offset + 8 * n * d + 8 * n
-    if len(blob) != expected:
-        raise ValueError("%s: truncated dataset binary" % path)
-    A = np.frombuffer(blob, dtype="<f8", count=n * d,
-                      offset=offset).reshape(n, d).copy()
-    b = np.frombuffer(blob, dtype="<f8", count=n,
-                      offset=offset + 8 * n * d).astype(np.int64)
-    return Dataset(A=A, b=b)
+        fh.write(_BIN_HEADER.pack(BIN_MAGIC, ds.n, ds.d))
+        np.ascontiguousarray(ds.A, dtype="<f8").tofile(fh)
+        ds.b.astype("<f8").tofile(fh)
 
 
 def load_dataset(path) -> Dataset:
     """Load either dataset format, sniffing the binary magic."""
     with open(path, "rb") as fh:
-        head = fh.read(len(BIN_MAGIC))
-    if head == BIN_MAGIC:
-        return load_dataset_binary(path)
-    return load_dataset_csv(path)
+        head = fh.read(_BIN_HEADER.size)
+        if head[:len(BIN_MAGIC)] != BIN_MAGIC:
+            return load_dataset_csv(path)
+        if len(head) < _BIN_HEADER.size:
+            raise ValueError("%s: truncated dataset binary" % path)
+        _, n, d = _BIN_HEADER.unpack(head)
+        if os.fstat(fh.fileno()).st_size != len(head) + 8 * n * (d + 1):
+            raise ValueError("%s: truncated dataset binary" % path)
+        A = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        b = np.fromfile(fh, dtype="<f8", count=n).astype(np.int64)
+    return Dataset(A=A, b=b)
 
 
 def save_trace_csv(path, records) -> None:
@@ -479,7 +459,7 @@ def load_trace_csv(path) -> dict:
     if any(len(row) != len(header) for row in rows):
         raise ValueError("%s: ragged trace file" % path)
     try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+        data = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
     data = data.reshape(len(rows), len(header))

@@ -96,7 +96,7 @@ def cmd_bench(args) -> int:
     outcome = bench.run_grid(grid, jobs=args.jobs)
     base = _strip_known_suffix(args.out)
     with open(base + ".csv", "w") as fh:
-        fh.write(bench.rows_to_csv(grid, outcome["rows"]))
+        fh.write(bench.rows_to_csv(outcome["rows"]))
     payload = {"grid": grid.__dict__, "rows": outcome["rows"],
                "runs": outcome["runs"]}
     with open(base + ".json", "w") as fh:

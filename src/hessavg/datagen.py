@@ -32,9 +32,9 @@ class DataGenConfig:
             raise ValueError("need n >= d >= 1")
         if self.coherence_mode not in COHERENCE_MODES:
             raise ValueError(f"coherence_mode must be one of {COHERENCE_MODES}")
-        if self.kappa_A < 1:
+        if not self.kappa_A >= 1:
             raise ValueError("kappa_A must be >= 1")
-        if self.reg_nu < 0:
+        if not self.reg_nu >= 0:
             raise ValueError("reg_nu must be nonnegative")
 
 

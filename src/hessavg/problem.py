@@ -117,7 +117,7 @@ class RegularizedLogistic(Objective):
     """
 
     def __init__(self, dataset: Dataset, reg_nu: float):
-        if reg_nu < 0:
+        if not reg_nu >= 0:
             raise ValueError("reg_nu must be nonnegative")
         self.dataset = dataset
         self.reg_nu = float(reg_nu)

@@ -73,7 +73,7 @@ class SolverConfig:
         check_armijo(self.beta, self.rho_backtrack)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol_hstar < 0:
+        if not self.tol_hstar >= 0:
             raise ValueError("tol_hstar must be nonnegative")
 
 

@@ -10,8 +10,9 @@ transition points, their self-checks, and sampled rate curves.
 
 Quantities defined through implicit inequalities are solved numerically on
 the integer grid (doubling plus bisection) rather than through asymptotic
-shortcuts, and everything involving the weight sequence is evaluated in log
-space so fast-growing sequences do not overflow.
+shortcuts; u, defined by w alone, inverts ln w in closed form.  Everything
+involving the weight sequence is evaluated in log space so fast-growing
+sequences do not overflow.
 
 With a noise-free oracle (upsilon = 0) the noise-dominated phase never
 arrives; the affected calculators return ``NEVER`` (float infinity,
@@ -60,11 +61,11 @@ class TheoryInputs:
     rho: float = DEFAULT_RHO
 
     def __post_init__(self):
-        if self.kappa < 1:
+        if not self.kappa >= 1:
             raise ValueError("kappa must be >= 1")
-        if self.lambda_min <= 0:
+        if not self.lambda_min > 0:
             raise ValueError("lambda_min must be positive")
-        if self.upsilon < 0:
+        if not self.upsilon >= 0:
             raise ValueError("upsilon must be nonnegative")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -76,11 +77,11 @@ class TheoryInputs:
             raise ValueError("d/delta must be at least e")
         if not 0.0 < self.radius_nu <= 1.0:
             raise ValueError("radius_nu must lie in (0, 1]")
-        if self.lipschitz_L < 0:
+        if not self.lipschitz_L >= 0:
             raise ValueError("lipschitz_L must be nonnegative")
-        if self.f0_gap < 0:
+        if not self.f0_gap >= 0:
             raise ValueError("f0_gap must be nonnegative")
-        if self.psi < 1:
+        if not self.psi >= 1:
             raise ValueError("psi must be >= 1")
         check_armijo(self.beta, self.rho)
         if isinstance(self.weights, LastOnly):
@@ -246,27 +247,19 @@ def i1(inputs: TheoryInputs) -> float:
 def u_transition(inputs: TheoryInputs, i_total: float) -> float:
     """Smallest u >= 0 with w(I + u) = 2 w(I-1) kappa / nu.
 
-    Solved by bisection on the continuous extension of w in log space;
-    0 when the target is already below w(I).
+    Exact: the weight sequence inverts ln w in closed form.  0 when the
+    target is already below w(I); RuntimeError when its root lies past the
+    float range.
     """
-    seq = inputs.weights
-    target_log = _u_target_log(inputs, i_total)
-    if log_weight(seq, i_total) >= target_log:
-        return 0.0
-    hi = _double_until(lambda u: log_weight(seq, i_total + u) >= target_log,
-                       1.0, "weight sequence never reaches the target")
-    lo = 0.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # The bracket sits at a magnitude where adjacent floats are
-            # further apart than the width target; it cannot split further.
-            break
-        if log_weight(seq, i_total + mid) < target_log:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    try:
+        root = inputs.weights.inverse_log_weight(
+            _u_target_log(inputs, i_total))
+    except OverflowError:
+        root = math.inf
+    if root == math.inf:
+        raise RuntimeError("weight sequence never reaches the target "
+                           "within the float range")
+    return max(0.0, root - i_total)
 
 
 def _u_target_log(inputs: TheoryInputs, i_total: float) -> float:

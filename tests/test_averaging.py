@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from hessavg.averaging import (LastOnly, LogPower, Power, Uniform,
                                growth_ratio, initial_state, log_weight,
-                               normalized_weights, psi_bound, update, weight)
+                               normalized_weights, psi_bound, update)
 
 # Reference values computed independently with mpmath at 50 digits.
 LP_W1 = 1.6168066722416747          # exp(ln(2)^2)
@@ -19,17 +19,23 @@ LP10_W1 = 1.2320236886890061        # exp(ln(2)^2 / ln(10))
 PSI_LP = 2.1849470328269085
 
 
+def weight(seq, t):
+    # w(t) from its log, as every caller in the package reads it; also the
+    # continuous extension, for slope checks.
+    return math.exp(log_weight(seq, t))
+
+
 def test_uniform_weights_are_counts():
     seq = Uniform()
     for t in range(6):
-        assert weight(seq, t) == t + 1
+        assert np.isclose(weight(seq, t), t + 1, rtol=1e-15, atol=0)
 
 
 def test_power_weights():
     seq = Power(2.0)
     assert weight(seq, 0) == 1.0
-    assert weight(seq, 3) == 16.0
-    assert weight(Power(1.0), 4) == 5.0
+    assert np.isclose(weight(seq, 3), 16.0, rtol=1e-15, atol=0)
+    assert np.isclose(weight(Power(1.0), 4), 5.0, rtol=1e-15, atol=0)
 
 
 def test_logpower_frozen_values():
@@ -41,14 +47,15 @@ def test_logpower_frozen_values():
 
 def test_weight_at_minus_one_is_zero():
     for seq in (Uniform(), Power(3.0), LogPower()):
+        assert log_weight(seq, -1) == -math.inf
         assert weight(seq, -1) == 0.0
     with pytest.raises(ValueError):
-        weight(Uniform(), -2)
+        log_weight(Uniform(), -2)
 
 
 def test_lastonly_is_not_weight_based():
     with pytest.raises(TypeError):
-        weight(LastOnly(), 3)
+        log_weight(LastOnly(), 3)
     with pytest.raises(TypeError):
         normalized_weights(LastOnly(), 3)
 
@@ -166,9 +173,11 @@ def test_lastonly_tracks_most_recent():
 
 
 def test_log_weight_consistency():
-    for seq in (Uniform(), Power(2.0), LogPower()):
+    # Against the power forms (t+1)^p and (t+1)^{ln(t+1)}.
+    for seq, power in ((Uniform(), lambda t: 1.0), (Power(2.0), lambda t: 2.0),
+                       (LogPower(), lambda t: math.log(t + 1))):
         for t in (0, 1, 5, 100):
-            assert np.isclose(log_weight(seq, t), math.log(weight(seq, t)),
+            assert np.isclose(weight(seq, t), (t + 1.0) ** power(t),
                               rtol=1e-12, atol=1e-12)
 
 
@@ -190,12 +199,25 @@ def test_derivative_matches_numeric_slope():
     for seq in (Uniform(), Power(2.5), LogPower(),
                 LogPower(scale=1.0 / math.log(10.0))):
         for t in (3.7, 9.2, 50.0):
-            numeric = (weight_cont(seq, t + h) - weight_cont(seq, t - h)) / (2 * h)
+            numeric = (weight(seq, t + h) - weight(seq, t - h)) / (2 * h)
             # w'(t) = w(t) * growth_ratio(t) in closed form.
-            closed = weight_cont(seq, t) * growth_ratio(seq, t)
+            closed = weight(seq, t) * growth_ratio(seq, t)
             assert np.isclose(closed, numeric, rtol=1e-6, atol=0)
 
 
-def weight_cont(seq, t):
-    # Continuous extension of the weight sequence, for slope checks.
-    return math.exp(log_weight(seq, t))
+@pytest.mark.parametrize("seq", [Uniform(), Power(2.5), LogPower(),
+                                 LogPower(scale=1.0 / math.log(10.0))],
+                         ids=["uniform", "power", "logpower", "logpower10"])
+@pytest.mark.parametrize("t", [0.0, 0.37, 4.0, 123.5, 1e9, 1e15])
+def test_inverse_log_weight_inverts_log_weight(seq, t):
+    root = seq.inverse_log_weight(log_weight(seq, t))
+    assert np.isclose(root, t, rtol=1e-12, atol=1e-12)
+
+
+def test_inverse_log_weight_below_the_start():
+    # ln w(-1) = -inf; LogPower's ln w rises from 0 at t = 0.
+    assert Power(2.0).inverse_log_weight(-math.inf) == -1.0
+    assert LogPower().inverse_log_weight(-math.inf) == 0.0
+    assert LogPower().inverse_log_weight(-3.0) == 0.0
+    with pytest.raises(OverflowError):
+        Uniform().inverse_log_weight(710.0)

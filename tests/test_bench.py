@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from hessavg import bench
 from hessavg.averaging import LastOnly, LogPower, Uniform
-from hessavg.bench import (CSV_VERSION, DNF, ExperimentGrid, RunSpec,
-                           aggregate_rows, execute_run, expand_grid,
+from hessavg.bench import (BIN_MAGIC, CSV_VERSION, DNF, ExperimentGrid,
+                           RunSpec, aggregate_rows, execute_run, expand_grid,
                            load_dataset, load_dataset_csv, load_trace_csv,
                            oracle_for_name, ratio_series, rows_to_csv,
                            run_grid, save_dataset_binary, save_dataset_csv,
@@ -94,6 +95,20 @@ def test_grid_validation():
         ExperimentGrid(n=60, d=6, s_list=[20.0])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tol", math.nan, "tol"),
+    ("reg_nu", math.nan, "reg_nu"),
+    ("beta", math.nan, "beta"),
+    ("rho", math.nan, "rho"),
+    ("kappa_list", [1.0, math.nan], "kappa_A"),
+    ("s_list", [math.nan], "s_list"),
+    ("s_list", [math.inf], "s_list"),
+])
+def test_grid_rejects_non_finite_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentGrid(**{**TINY, field: value})
+
+
 def test_grid_from_dict():
     grid = ExperimentGrid.from_dict(TINY)
     assert grid.n == 240
@@ -158,9 +173,60 @@ def test_expanding_a_grid_keeps_existing_seeds():
     assert original == extended
 
 
-def test_tiny_grid_frozen_output(tiny_outcome):
+def _ids_to_seeds(grid):
+    return {(s.coherence, s.kappa_power, s.s_mult, s.oracle, s.variant,
+             s.slot): (s.seed, s.dataset_seed) for s in expand_grid(grid)}
+
+
+@st.composite
+def grid_and_wider(draw):
+    """A small grid, and one with entries added to every list and more slots.
+
+    The added entries go anywhere in their list, not only at its end.
+    """
+    small, wider = {}, {}
+    for name, choices in (("coherence_modes", ["low", "high"]),
+                          ("oracle_kinds", list(bench.ORACLES)),
+                          ("variants", list(bench.VARIANTS)),
+                          ("kappa_list", st.floats(0.0, 2.0)),
+                          ("s_list", st.floats(0.05, 10.0))):
+        if isinstance(choices, list):
+            choices = st.sampled_from(choices)
+        picked = draw(st.lists(choices, min_size=1, max_size=4, unique=True))
+        kept = draw(st.integers(1, len(picked)))
+        small[name] = picked[:kept]
+        wider[name] = draw(st.permutations(picked))
+    slots = draw(st.integers(1, 3))
+    common = dict(TINY, base_seed=draw(st.integers(0, 2 ** 32)),
+                  include_bfgs=draw(st.booleans()))
+    return (ExperimentGrid(**{**common, **small, "num_seeds": slots}),
+            ExperimentGrid(**{**common, **wider,
+                              "num_seeds": slots + draw(st.integers(0, 3))}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=grid_and_wider())
+def test_widening_a_grid_keeps_every_existing_seed(grids):
+    small, wider = grids
+    assert _ids_to_seeds(small).items() <= _ids_to_seeds(wider).items()
+
+
+def test_csv_columns_are_the_row_keys(tiny_outcome):
     grid, outcome = tiny_outcome
-    csv = rows_to_csv(grid, outcome["rows"])
+    # Reordered variants reorder the columns; BFGS comes last.
+    for variants in (["noavg", "unifavg"], ["unifavg", "noavg"]):
+        rows = aggregate_rows(dataclasses.replace(grid, variants=variants),
+                              outcome["runs"])
+        header = rows_to_csv(rows).splitlines()[1]
+        assert header.split(",") == list(rows[0])
+        assert header.endswith(",bfgs_median,bfgs_iqr")
+    assert list(aggregate_rows(grid, outcome["runs"])[0]) == \
+        TINY_CSV_LINES[1].split(",")
+
+
+def test_tiny_grid_frozen_output(tiny_outcome):
+    _, outcome = tiny_outcome
+    csv = rows_to_csv(outcome["rows"])
     assert csv.splitlines() == TINY_CSV_LINES
     assert csv.endswith("\n")
 
@@ -168,8 +234,7 @@ def test_tiny_grid_frozen_output(tiny_outcome):
 def test_grid_output_independent_of_jobs(tiny_outcome):
     grid, outcome = tiny_outcome
     parallel = run_grid(grid, jobs=2)
-    assert rows_to_csv(grid, outcome["rows"]) == rows_to_csv(
-        grid, parallel["rows"])
+    assert rows_to_csv(outcome["rows"]) == rows_to_csv(parallel["rows"])
     assert outcome["runs"] == parallel["runs"]
 
 
@@ -261,7 +326,7 @@ def test_unfinished_runs_become_dnf(tiny_outcome):
             rec["converged"] = False
     row = aggregate_rows(grid, runs)[0]
     assert row["unifavg_median"] == DNF
-    csv = rows_to_csv(grid, aggregate_rows(grid, runs))
+    csv = rows_to_csv(aggregate_rows(grid, runs))
     assert "dnf" in csv
 
 
@@ -293,7 +358,7 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_dataset_csv_rows_match_per_element_format(tmp_path):
-    # 600 rows span several write blocks, the last one partial.
+    # 600 rows of every magnitude, with the edge values in the first.
     rng = np.random.default_rng(21)
     A = rng.standard_normal((600, 7)) * 10.0 ** rng.integers(-300, 300,
                                                             size=(600, 7))
@@ -328,7 +393,7 @@ FEATURE_VALUES = st.one_of(
 
 @st.composite
 def datasets(draw):
-    # n up to 600 crosses the 256-row CSV write block twice.
+    # n up to 600, so files of many rows are drawn too.
     n = draw(st.integers(1, 600))
     d = draw(st.integers(1, 6))
     A = draw(arrays(np.float64, (n, d), elements=FEATURE_VALUES))
@@ -370,6 +435,16 @@ def test_corrupt_dataset_files_raise(tmp_path):
     truncated.write_text(CSV_VERSION + "\n5,2\n1,2\n")
     with pytest.raises(ValueError):
         load_dataset_csv(truncated)
+    header = BIN_MAGIC + struct.pack("<QQ", 2, 2)
+    for name, blob in [("cut-header", BIN_MAGIC + b"\x00\x00"),
+                       ("cut-body", header + b"\x00" * 47),
+                       ("long-body", header + b"\x00" * 49),
+                       ("huge", BIN_MAGIC + struct.pack("<QQ", 2 ** 62, 2 ** 62)
+                        + b"\x00" * 48)]:
+        path = tmp_path / (name + ".bin")
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="truncated dataset binary"):
+            load_dataset(path)
 
 
 @pytest.mark.parametrize("body", [

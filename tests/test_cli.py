@@ -105,6 +105,21 @@ def test_solve_bad_dataset_csv_names_the_file(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_solve_cut_binary_header_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "cut.bin"
+    bad.write_bytes(bench.BIN_MAGIC + b"\x00\x00")
+    code = main(["solve", "--data", str(bad), "--oracle", "exact"])
+    assert code == 2
+    assert "truncated dataset binary" in capsys.readouterr().err
+
+
+def test_solve_nan_tolerance_is_usage_error(dataset, capsys):
+    code = main(["solve", "--data", str(dataset), "--oracle", "exact",
+                 "--tol", "nan"])
+    assert code == 2
+    assert "tol_hstar" in capsys.readouterr().err
+
+
 def test_bench_runs_grid_and_is_parallel_invariant(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(TINY_GRID))
@@ -209,6 +224,22 @@ def test_bench_wrong_field_type_is_usage_error(tmp_path, capsys, monkeypatch,
                  str(tmp_path / "x"), "--jobs", "1"])
     assert code == 2
     assert "grid field %s" % next(iter(field)) in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_bench_nan_tolerance_fails_before_any_run(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "execute_run", no_run)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(dict(TINY_GRID, tol=math.nan)))
+    assert "NaN" in grid_path.read_text()
+    code = main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "x"), "--jobs", "1"])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -360,6 +391,13 @@ def test_diag_precondition_violation_exits_4(capsys):
     args[args.index("--epsilon") + 1] = "2.0"
     assert main(args) == 4
     capsys.readouterr()
+
+
+def test_diag_nan_upsilon_exits_4(capsys):
+    args = [a for a in DIAG_DEFAULTS]
+    args[args.index("--upsilon") + 1] = "nan"
+    assert main(args) == 4
+    assert "upsilon" in capsys.readouterr().err
 
 
 def test_diag_reports_noise_transition_past_2_62(capsys):

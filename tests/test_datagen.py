@@ -20,6 +20,13 @@ def test_config_validation():
         DataGenConfig(**{**ok, "reg_nu": -1.0})
 
 
+@pytest.mark.parametrize("field", ["kappa_A", "reg_nu"])
+def test_config_rejects_nan(field):
+    ok = dict(n=50, d=5, coherence_mode="low", kappa_A=2.0, reg_nu=0.0, seed=0)
+    with pytest.raises(ValueError, match=field):
+        DataGenConfig(**{**ok, field: float("nan")})
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_low_coherence_band(seed):
     cfg = DataGenConfig(n=1000, d=100, coherence_mode="low", kappa_A=100.0,

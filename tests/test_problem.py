@@ -155,6 +155,12 @@ def test_dataset_validation():
         Dataset(A, np.array([1, -1]))
 
 
+@pytest.mark.parametrize("reg_nu", [-1.0, float("nan")])
+def test_logistic_rejects_bad_reg_nu(reg_nu):
+    with pytest.raises(ValueError, match="reg_nu"):
+        RegularizedLogistic(Dataset(PIN_A, PIN_B), reg_nu)
+
+
 def test_dataset_properties():
     ds = Dataset(PIN_A, PIN_B)
     assert ds.n == 3

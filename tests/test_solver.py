@@ -63,6 +63,13 @@ def test_config_validation():
         SolverConfig(tol_hstar=-1.0)
 
 
+@pytest.mark.parametrize("field", ["beta", "rho_backtrack", "tol_hstar"])
+def test_config_rejects_nan(field):
+    message = {"rho_backtrack": "rho"}.get(field, field)
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: float("nan")})
+
+
 @pytest.mark.parametrize("weights", [LastOnly(), Uniform(), LogPower()])
 def test_quadratic_converges_in_one_step(weights):
     obj, ref = quadratic_setup()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hessavg.averaging import LastOnly, LogPower, Power, Uniform, psi_bound
+from hessavg.averaging import (LastOnly, LogPower, Power, Uniform, log_weight,
+                               psi_bound)
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import Subsample, estimate, noise_sample, spectral_norm
 from hessavg.problem import RegularizedLogistic
@@ -48,6 +49,15 @@ def base_inputs(**overrides):
 def test_input_validation(bad):
     with pytest.raises((ValueError, TypeError)):
         base_inputs(**bad)
+
+
+@pytest.mark.parametrize("field", ["kappa", "lambda_min", "upsilon",
+                                   "epsilon", "delta", "radius_nu",
+                                   "lipschitz_L", "f0_gap", "psi", "beta",
+                                   "rho"])
+def test_nan_input_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        base_inputs(**{field: math.nan})
 
 
 def test_burn_in_frozen_value():
@@ -114,8 +124,7 @@ def test_substitute_back_on_handpicked_inputs():
 
 def test_weight_target_search_at_large_magnitudes():
     # Heavy noise with slow power growth pushes the weight-target root past
-    # 1e10, where the bisection bracket is wider than float spacing; the
-    # search must still terminate and satisfy its equation.
+    # 1e10, where float spacing is coarse; u must still satisfy its equation.
     seq = Power(1.117)
     inputs = base_inputs(kappa=22.4, lambda_min=0.1, upsilon=4.75,
                          epsilon=0.153, d=300, radius_nu=0.05,
@@ -125,6 +134,32 @@ def test_weight_target_search_at_large_magnitudes():
     checks = theory.substitute_back_checks(inputs, report)
     assert checks["u_equation"]
     assert checks["v_boundary"]
+
+
+@pytest.mark.parametrize("seq", [Uniform(), Power(2.5), LogPower(),
+                                 LogPower(scale=1.0 / math.log(10.0))],
+                         ids=["uniform", "power", "logpower", "logpower10"])
+@pytest.mark.parametrize("i_total", [0.5, 3.0, 1234.5, 5.4e11])
+def test_weight_target_is_met_exactly(seq, i_total):
+    inputs = base_inputs(kappa=37.0, radius_nu=0.3, weights=seq)
+    u = theory.u_transition(inputs, i_total)
+    target = theory._u_target_log(inputs, i_total)
+    assert u > 0.0
+    assert abs(log_weight(seq, i_total + u) - target) <= 1e-12 * abs(target)
+
+
+def test_weight_target_below_w_of_i_gives_zero():
+    # The target 2 w(0) = 2 lies below w(1) = 2**4.
+    inputs = base_inputs(kappa=1.0, radius_nu=1.0, weights=Power(4.0))
+    assert theory.u_transition(inputs, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("radius_nu", [1e-5, 1e-9],
+                         ids=["root-overflows", "target-overflows"])
+def test_weight_target_past_the_float_range_raises(radius_nu):
+    inputs = base_inputs(kappa=1e300, radius_nu=radius_nu)
+    with pytest.raises(RuntimeError, match="never reaches the target"):
+        theory.u_transition(inputs, 1e10)
 
 
 def test_noise_transition_past_the_integer_bracket():

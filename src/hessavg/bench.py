@@ -140,8 +140,8 @@ class ExperimentGrid:
                 raise ValueError("%s must be nonempty" % name)
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
         # The configs the runs build check the remaining parameters.
@@ -159,12 +159,10 @@ class ExperimentGrid:
             if not 1 <= s <= self.n:
                 raise ValueError("s_list entry %r gives s = %d, outside "
                                  "[1, n = %d]" % (s_mult, s, self.n))
-        for name in self.oracle_kinds:
-            if name not in ORACLES:
-                raise ValueError("unknown oracle %r" % (name,))
+            for name in self.oracle_kinds:
+                oracle_for_name(name, s)
         for name in self.variants:
-            if name not in VARIANTS:
-                raise ValueError("unknown variant %r" % (name,))
+            weights_for_variant(name)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentGrid":
@@ -413,9 +411,7 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError("expected %d rows of %d fields, then %d labels"
                              % (n, d, n))
         A = np.array(rows[1:-1], dtype=float)
-        # Labels truncate toward zero; Dataset rejects any but -1 and +1.
-        b = np.trunc(np.array(rows[-1], dtype=float))
-        return Dataset(A=A, b=b)
+        return Dataset(A=A, b=np.array(rows[-1], dtype=float))
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
 
@@ -440,7 +436,7 @@ def load_dataset(path) -> Dataset:
         if os.fstat(fh.fileno()).st_size != len(head) + 8 * n * (d + 1):
             raise ValueError("%s: truncated dataset binary" % path)
         A = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
-        b = np.fromfile(fh, dtype="<f8", count=n).astype(np.int64)
+        b = np.fromfile(fh, dtype="<f8", count=n)
     return Dataset(A=A, b=b)
 
 

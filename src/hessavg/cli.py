@@ -118,20 +118,16 @@ def _diag_weights(args):
 
 
 def cmd_diag(args) -> int:
-    try:
-        seq = _diag_weights(args)
-        psi = args.psi if args.psi is not None else psi_bound(seq, 1000)
-        inputs = theory.TheoryInputs(
-            kappa=args.kappa, lambda_min=args.lambda_min,
-            upsilon=args.upsilon, epsilon=args.epsilon, delta=args.delta,
-            d=args.d, radius_nu=args.radius_nu,
-            lipschitz_L=args.lipschitz, f0_gap=args.f0_gap, psi=psi,
-            weights=seq, beta=args.beta, rho=args.rho)
-        report = theory.transition_report(inputs)
-        checks = theory.substitute_back_checks(inputs, report)
-    except (ValueError, RuntimeError) as exc:
-        print("theory precondition: %s" % exc, file=sys.stderr)
-        return 4
+    seq = _diag_weights(args)
+    psi = args.psi if args.psi is not None else psi_bound(seq, 1000)
+    inputs = theory.TheoryInputs(
+        kappa=args.kappa, lambda_min=args.lambda_min,
+        upsilon=args.upsilon, epsilon=args.epsilon, delta=args.delta,
+        d=args.d, radius_nu=args.radius_nu,
+        lipschitz_L=args.lipschitz, f0_gap=args.f0_gap, psi=psi,
+        weights=seq, beta=args.beta, rho=args.rho)
+    report = theory.transition_report(inputs)
+    checks = theory.substitute_back_checks(inputs, report)
     payload = theory.report_to_json_dict(report)
     payload["psi"] = psi
     payload["checks"] = checks

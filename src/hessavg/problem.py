@@ -15,6 +15,7 @@ its inputs, and objects are safe to share across concurrent runs.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -117,8 +118,8 @@ class RegularizedLogistic(Objective):
     """
 
     def __init__(self, dataset: Dataset, reg_nu: float):
-        if not reg_nu >= 0:
-            raise ValueError("reg_nu must be nonnegative")
+        if not 0 <= reg_nu < math.inf:
+            raise ValueError("reg_nu must be finite and nonnegative")
         self.dataset = dataset
         self.reg_nu = float(reg_nu)
 
@@ -273,8 +274,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         g = obj.gradient(x, margins=m)
     g_hp = _gradient_highprec(obj, x)
     for _ in range(20):
-        grad_norm = float(np.linalg.norm(g_hp))
-        if grad_norm <= REF_GRAD_TOL:
+        if float(np.linalg.norm(g_hp)) <= REF_GRAD_TOL:
             break
         p = newton_direction(obj.hessian(x), g_hp.astype(float))
         if p is None:
@@ -284,7 +284,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
             break
         x = x_new
         g_hp = _gradient_highprec(obj, x)
-        grad_norm = float(np.linalg.norm(g_hp))
+    grad_norm = float(np.linalg.norm(g_hp))
     if grad_norm > REF_GRAD_TOL:
         raise RuntimeError(
             f"reference solve did not reach ||grad|| <= {REF_GRAD_TOL:g} "

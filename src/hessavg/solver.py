@@ -30,6 +30,7 @@ The sparse sketches are drawn inline: their draws hold the GIL, so a
 helper thread could not overlap them with the iteration.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -73,8 +74,8 @@ class SolverConfig:
         check_armijo(self.beta, self.rho_backtrack)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol_hstar >= 0:
-            raise ValueError("tol_hstar must be nonnegative")
+        if not 0 <= self.tol_hstar < math.inf:
+            raise ValueError("tol_hstar must be finite and nonnegative")
 
 
 @dataclass

@@ -103,6 +103,11 @@ def test_grid_validation():
     ("kappa_list", [1.0, math.nan], "kappa_A"),
     ("s_list", [math.nan], "s_list"),
     ("s_list", [math.inf], "s_list"),
+    ("tol", math.inf, "tol"),
+    ("reg_nu", math.inf, "reg_nu"),
+    ("beta", math.inf, "beta"),
+    ("rho", math.inf, "rho"),
+    ("kappa_list", [1.0, math.inf], "kappa_A"),
 ])
 def test_grid_rejects_non_finite_values(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -445,6 +450,10 @@ def test_corrupt_dataset_files_raise(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="truncated dataset binary"):
             load_dataset(path)
+    fraction = tmp_path / "fraction.bin"
+    fraction.write_bytes(header + struct.pack("<6d", 1, 2, 4, 5, 1.5, -1))
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        load_dataset(fraction)
 
 
 @pytest.mark.parametrize("body", [
@@ -454,7 +463,9 @@ def test_corrupt_dataset_files_raise(tmp_path):
     "2,2,2\n1,2\n4,5\n1,-1\n",    # three header fields
     "2,2\n1,2\n4,x\n1,-1\n",      # a value that is not a number
     "2,2\n1,2\n4,5\n1,0\n",       # a label outside {-1, +1}
-], ids=["wide", "ragged", "labels", "header", "value", "label-value"])
+    "2,2\n1,2\n4,5\n1.5,-1\n",    # a label that is not an integer
+], ids=["wide", "ragged", "labels", "header", "value", "label-value",
+        "label-fraction"])
 def test_malformed_dataset_csv_names_the_file(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_VERSION + "\n" + body)

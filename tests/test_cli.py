@@ -114,10 +114,11 @@ def test_solve_cut_binary_header_is_usage_error(tmp_path, capsys):
 
 
 def test_solve_nan_tolerance_is_usage_error(dataset, capsys):
-    code = main(["solve", "--data", str(dataset), "--oracle", "exact",
-                 "--tol", "nan"])
-    assert code == 2
-    assert "tol_hstar" in capsys.readouterr().err
+    for tol in ("nan", "inf"):
+        code = main(["solve", "--data", str(dataset), "--oracle", "exact",
+                     "--tol", tol])
+        assert code == 2
+        assert "tol_hstar" in capsys.readouterr().err
 
 
 def test_bench_runs_grid_and_is_parallel_invariant(tmp_path, capsys):
@@ -398,6 +399,13 @@ def test_diag_nan_upsilon_exits_4(capsys):
     args[args.index("--upsilon") + 1] = "nan"
     assert main(args) == 4
     assert "upsilon" in capsys.readouterr().err
+
+
+def test_diag_infinite_kappa_exits_4(capsys):
+    args = [a for a in DIAG_DEFAULTS]
+    args[args.index("--kappa") + 1] = "inf"
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith("error: kappa must be finite")
 
 
 def test_diag_reports_noise_transition_past_2_62(capsys):

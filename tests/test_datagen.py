@@ -23,8 +23,9 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["kappa_A", "reg_nu"])
 def test_config_rejects_nan(field):
     ok = dict(n=50, d=5, coherence_mode="low", kappa_A=2.0, reg_nu=0.0, seed=0)
-    with pytest.raises(ValueError, match=field):
-        DataGenConfig(**{**ok, field: float("nan")})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=field):
+            DataGenConfig(**{**ok, field: value})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

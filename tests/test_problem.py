@@ -155,7 +155,7 @@ def test_dataset_validation():
         Dataset(A, np.array([1, -1]))
 
 
-@pytest.mark.parametrize("reg_nu", [-1.0, float("nan")])
+@pytest.mark.parametrize("reg_nu", [-1.0, float("nan"), float("inf")])
 def test_logistic_rejects_bad_reg_nu(reg_nu):
     with pytest.raises(ValueError, match="reg_nu"):
         RegularizedLogistic(Dataset(PIN_A, PIN_B), reg_nu)

@@ -66,8 +66,9 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["beta", "rho_backtrack", "tol_hstar"])
 def test_config_rejects_nan(field):
     message = {"rho_backtrack": "rho"}.get(field, field)
-    with pytest.raises(ValueError, match=message):
-        SolverConfig(**{field: float("nan")})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("weights", [LastOnly(), Uniform(), LogPower()])

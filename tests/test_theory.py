@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hessavg.averaging import (LastOnly, LogPower, Power, Uniform, log_weight,
                                psi_bound)
@@ -56,8 +58,9 @@ def test_input_validation(bad):
                                    "lipschitz_L", "f0_gap", "psi", "beta",
                                    "rho"])
 def test_nan_input_is_rejected(field):
-    with pytest.raises(ValueError, match=field):
-        base_inputs(**{field: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=field):
+            base_inputs(**{field: value})
 
 
 def test_burn_in_frozen_value():
@@ -120,6 +123,50 @@ def test_substitute_back_on_handpicked_inputs():
         checks = theory.substitute_back_checks(inputs)
         bad = [k for k, v in checks.items() if not v]
         assert not bad, "failed: %s" % bad
+
+
+# i1 of LogPower bundles, whose growth expression is 0 at t = 0 and peaks
+# past it.  Computed with the ternary peak search that i1 used before its
+# single bisection; "extreme" ends past 2**52, where a one-point step of the
+# expression is below its rounding.
+I1_LOGPOWER_FROZEN = [
+    ("below-threshold", dict(weights=LogPower(scale=0.13), upsilon=0.0), 0.0),
+    ("one-point", dict(weights=LogPower(scale=0.1325), upsilon=0.0), 3.0),
+    ("from-t1", dict(weights=LogPower(scale=0.15), upsilon=0.0), 5.0),
+    ("default", dict(weights=LogPower()), 25076.0),
+    ("heavy-noise", dict(weights=LogPower(scale=3.0), upsilon=40.0, psi=5.0,
+                         epsilon=0.1), 1611176412402.0),
+    ("extreme", dict(weights=LogPower(scale=1.4003055447043171),
+                     upsilon=137.98674980680298,
+                     epsilon=0.030235659314798484,
+                     delta=0.003130203832280273, d=91,
+                     psi=29.813253904457124), 5599502062274436.0),
+]
+
+
+@pytest.mark.parametrize("overrides, expected",
+                         [case[1:] for case in I1_LOGPOWER_FROZEN],
+                         ids=[case[0] for case in I1_LOGPOWER_FROZEN])
+def test_i1_logpower_frozen_values(overrides, expected):
+    assert theory.i1(base_inputs(**overrides)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.one_of(st.just(Uniform()), st.floats(1.0, 6.0).map(Power),
+                     st.floats(0.01, 10.0).map(
+                         lambda scale: LogPower(scale=scale))),
+       upsilon=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       epsilon=st.floats(0.01, 0.99), d=st.integers(1, 10 ** 4),
+       delta=st.floats(1e-6, 0.99), psi=st.floats(1.0, 30.0))
+def test_i1_boundary_property(seq, upsilon, epsilon, d, delta, psi):
+    # The widest corner (LogPower(scale=10), upsilon 10, epsilon 0.01,
+    # psi 30, d 10**4, delta 1e-6) puts i1 near 2.4e15: past the point where
+    # one step of the expression is below its rounding, but below 2**53, so
+    # the float i1 is the exact integer the check substitutes back.
+    assume(d / delta >= math.e)
+    inputs = base_inputs(weights=seq, upsilon=upsilon, epsilon=epsilon, d=d,
+                         delta=delta, psi=psi)
+    assert theory.substitute_back_checks(inputs)["i1_boundary"]
 
 
 def test_weight_target_search_at_large_magnitudes():

@@ -142,7 +142,9 @@ def update(state: AveragingState, seq, h_hat: np.ndarray) -> AveragingState:
         return AveragingState(np.array(h_hat, dtype=float), t)
     # w(t-1)/w(t) in log space; exactly 0 at t = 0, where ln w(-1) = -inf.
     r = math.exp(log_weight(seq, t - 1) - log_weight(seq, t))
-    return AveragingState(r * state.h_tilde + (1.0 - r) * h_hat, t)
+    h = r * state.h_tilde
+    h += (1.0 - r) * h_hat
+    return AveragingState(h, t)
 
 
 def normalized_weights(seq, t: int) -> np.ndarray:

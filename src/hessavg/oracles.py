@@ -176,9 +176,14 @@ def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
         m = obj.margins(x) if margins is None else margins
         l = obj.curvature_weights(x, margins=m[idx])
+        l /= kind.s
+        np.sqrt(l, out=l)
         # R is formed as glm_square_root forms it from all n rows, so a
         # full subsample (s = n) reproduces the exact Hessian bit for bit.
-        return _gram(np.sqrt(l / kind.s)[:, None] * ds.A[idx], obj.reg_nu)
+        # A[idx] is a fresh copy, so it is scaled in place.
+        r = ds.A[idx]
+        r *= l[:, None]
+        return _gram(r, obj.reg_nu)
     if isinstance(kind, SKETCH_KINDS):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x, margins=margins)

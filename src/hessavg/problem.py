@@ -104,7 +104,8 @@ def _gram(r: np.ndarray, nu: float) -> np.ndarray:
     values, so the result is exactly symmetric.
     """
     h = r.T @ r
-    h[np.diag_indices_from(h)] += nu
+    diagonal = h.reshape(-1)[::h.shape[0] + 1]  # a view: h is contiguous
+    diagonal += nu
     return h
 
 
@@ -135,8 +136,16 @@ class RegularizedLogistic(Objective):
     def value(self, x, margins=None) -> float:
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
-        e = np.exp(-np.abs(m))
-        loss = float(np.mean(np.maximum(-m, 0.0) + np.log1p(e)))
+        # max(-m, 0) + log1p(e^{-|m|}) in two scratch arrays; the sum over
+        # n is the one np.mean takes.
+        t = np.abs(m)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        u = np.negative(m)
+        np.maximum(u, 0.0, out=u)
+        u += t
+        loss = float(np.add.reduce(u) / u.size)
         return loss + 0.5 * self.reg_nu * float(x @ x)
 
     def gradient(self, x, margins=None) -> np.ndarray:
@@ -151,14 +160,20 @@ class RegularizedLogistic(Objective):
         # l = sigma(m) * sigma(-m) is symmetric in the sign of m, so it is
         # e/(1+e)^2 with e = e^{-|m|}.  Near m = 0 that rounds up to one ulp
         # above 1/4, hence the clamp.
-        e = np.exp(-np.abs(m))
-        l = e / ((1.0 + e) * (1.0 + e))
+        l = np.abs(m)
+        np.negative(l, out=l)
+        np.exp(l, out=l)
+        den = l + 1.0
+        den *= den
+        l /= den
         return np.minimum(l, 0.25, out=l)
 
     def glm_square_root(self, x, margins=None) -> np.ndarray:
         """M = (1/sqrt(n)) diag(l)^{1/2} A, so that M^T M + reg_nu I = hessian."""
         l = self.curvature_weights(x, margins)
-        return np.sqrt(l / self.dataset.n)[:, None] * self.dataset.A
+        l /= self.dataset.n
+        np.sqrt(l, out=l)
+        return l[:, None] * self.dataset.A
 
     def hessian(self, x, margins=None) -> np.ndarray:
         return _gram(self.glm_square_root(x, margins), self.reg_nu)
@@ -168,10 +183,20 @@ def _logistic_gradient(A, b, m, x, nu):
     """-(1/n) A^T (b * sigma(-m)) + nu x, in the precision of A, m and x.
 
     sigma(-m) = 1/(1+e^m) is formed from e = e^{-|m|}, which cannot overflow.
+    The n-vector chain runs in two scratch arrays.
     """
-    e = np.exp(-np.abs(m))
-    sig_neg = np.where(m >= 0, e, 1.0) / (1.0 + e)
-    return -(A.T @ (b * sig_neg)) / A.shape[0] + nu * x
+    e = np.abs(m)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    w = np.where(m >= 0, e, 1.0)
+    e += 1.0
+    w /= e
+    w *= b
+    g = A.T @ w
+    np.negative(g, out=g)
+    g /= A.shape[0]
+    g += nu * x
+    return g
 
 
 class QuadraticTest(Objective):
@@ -256,7 +281,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
     g = obj.gradient(x, margins=m)
     prev_norm = np.inf
     for _ in range(REF_MAX_ITER):
-        g_norm = float(np.linalg.norm(g))
+        g_norm = math.sqrt(float(g @ g))
         if g_norm <= REF_GRAD_TOL:
             break
         if g_norm <= 1e-9 and g_norm >= 0.5 * prev_norm:
@@ -296,4 +321,4 @@ def hstar_error(x, ref: ReferenceSolution) -> float:
     """||x - x*|| in the H* norm: sqrt((x-x*)^T H* (x-x*))."""
     dx = _as_vector(x, ref.x_star.shape[0]) - ref.x_star
     # Guard tiny negative values from rounding when dx is at machine scale.
-    return float(np.sqrt(max(dx @ ref.h_star @ dx, 0.0)))
+    return math.sqrt(max(float(dx @ ref.h_star @ dx), 0.0))

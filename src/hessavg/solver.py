@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ._blas import single_thread
 from .averaging import Uniform, initial_state, update
@@ -48,6 +48,10 @@ DEFAULT_BETA = 1e-4
 DEFAULT_RHO = 0.5
 DEFAULT_TOL = 1e-6
 MAX_BACKTRACKS = 60
+
+# The LAPACK routines behind scipy's cho_factor/cho_solve, resolved once:
+# their Python wrappers cost more than a d = 100 factorization.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def check_armijo(beta: float, rho: float) -> None:
@@ -103,14 +107,16 @@ def newton_direction(h_tilde: np.ndarray, g: np.ndarray):
     """Solve h_tilde p = -g if h_tilde is positive definite.
 
     Returns None (skip) when the Cholesky factorization fails or the
-    solution is not a strict descent direction.
+    solution is not a strict descent direction.  The LAPACK calls are the
+    ones cho_factor(lower=True)/cho_solve make, with the same arguments, so
+    p is the same to the bit.
     """
-    try:
-        cf = scipy.linalg.cho_factor(h_tilde, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    c, info = _potrf(h_tilde, lower=1, clean=0)
+    if info != 0:
         return None
-    p = scipy.linalg.cho_solve(cf, -g, check_finite=False)
-    if not np.all(np.isfinite(p)) or float(g @ p) >= 0.0:
+    # -g is a fresh array, so potrs may solve in place.
+    p, info = _potrs(c, -g, lower=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(p).all() or float(g @ p) >= 0.0:
         return None
     return p
 
@@ -140,8 +146,11 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     q = obj.margins(p)
     mu = 1.0
     for j in range(MAX_BACKTRACKS + 1):
-        x_trial = x + mu * p
-        m_trial = m0 + mu * q
+        # x + mu p and m0 + mu q, summed in place of a second temporary.
+        x_trial = p * mu
+        x_trial += x
+        m_trial = q * mu
+        m_trial += m0
         f_trial = obj.value(x_trial, margins=m_trial)
         if f_trial <= f0 + mu * beta * slope:
             return Step(mu, x_trial, f_trial, m_trial), j
@@ -178,10 +187,10 @@ def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
                 x, f_cur, g_cur, m_cur = step.x, step.f, g_new, step.margins
         err = hstar_error(x, ref)
         records.append(IterationRecord(
-            t=t, f_value=f_cur, grad_norm=float(np.linalg.norm(g_cur)),
+            t=t, f_value=f_cur, grad_norm=math.sqrt(float(g_cur @ g_cur)),
             hstar_error=err, stepsize=stepsize, skipped=skipped,
             backtracks=backtracks))
-        if not (np.isfinite(f_cur) and np.all(np.isfinite(x))):
+        if not (math.isfinite(f_cur) and np.isfinite(x).all()):
             break
         if err <= config.tol_hstar:
             return RunResult(records, True, t + 1, x)
@@ -255,7 +264,7 @@ def bfgs_run(obj, x0, config: SolverConfig, ref: ReferenceSolution
     def inverse_update(s, y):
         nonlocal h_inv
         sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             rho_sy = 1.0 / sy
             hy = h_inv @ y
             h_inv = (h_inv

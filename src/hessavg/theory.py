@@ -29,10 +29,10 @@ from .solver import DEFAULT_BETA, DEFAULT_RHO, check_armijo
 
 NEVER = math.inf
 
-_BRACKET_LIMIT = 2 ** 62
-# v's left side grows without bound for every weight sequence, so its
-# bracket stops only where t + 1.0 nears the end of the float range.
-_V_BRACKET_LIMIT = 2 ** 1000
+# The doubling searches stop only where t + 1.0 nears the end of the float
+# range: v's left side grows without bound for every weight sequence, and
+# i1's growth expression can stay above its threshold past 2**62.
+_BRACKET_LIMIT = 2 ** 1000
 
 
 @dataclass
@@ -178,11 +178,11 @@ def _k_lead(inputs: TheoryInputs, t_total: float) -> float:
                * math.log(inputs.d * t_total / inputs.delta)))
 
 
-def _double_until(reached, hi, failure: str, limit=_BRACKET_LIMIT):
-    """Double hi until reached(hi); RuntimeError(failure) beyond limit."""
+def _double_until(reached, hi, failure: str):
+    """Double hi until reached(hi); RuntimeError(failure) past the limit."""
     while not reached(hi):
         hi *= 2
-        if hi > limit:
+        if hi > _BRACKET_LIMIT:
             raise RuntimeError(failure)
     return hi
 
@@ -201,9 +201,21 @@ def _first_false(holds, lo: int, hi: int) -> int:
     return hi
 
 
-def _i1_expression(inputs: TheoryInputs, t: int) -> float:
-    return (math.log(inputs.d * (t + 1) / inputs.delta)
-            * growth_ratio(inputs.weights, t))
+def _i1_expression(inputs: TheoryInputs, t: float) -> float:
+    """log(d(t+1)/delta) * w'(t)/w(t), evaluated at the float of t.
+
+    ``i1`` searches integers and its self-check judges the float it
+    returns; both go through float(t), so they see the same value at every
+    point, also past 2**53, where float(t) is no longer t.  Past 2**62 the
+    log is taken as log(d/delta) + log(t+1), which stays finite where
+    d(t+1)/delta would overflow.
+    """
+    t = float(t)
+    if t <= 2.0 ** 62:
+        log_term = math.log(inputs.d * (t + 1.0) / inputs.delta)
+    else:
+        log_term = math.log(inputs.d / inputs.delta) + math.log(t + 1.0)
+    return log_term * growth_ratio(inputs.weights, t)
 
 
 def _i1_threshold(inputs: TheoryInputs) -> float:
@@ -233,7 +245,7 @@ def i1(inputs: TheoryInputs) -> float:
         return 0.0
     hi = _double_until(lambda t: t > peak and expr(t) < thr, 1,
                        "growth expression stays above the threshold "
-                       "past t = 2**62")
+                       "past t = 2**1000")
     return float(_first_false(lambda t: expr(t) >= thr, peak, hi))
 
 
@@ -302,8 +314,7 @@ def v_transition(inputs: TheoryInputs, i_total: float, u: float) -> float:
     if not below(start):
         return float(start)
     hi = _double_until(lambda t: not below(t), max(start, 1),
-                       "averaging noise does not dominate before t = 2**1000",
-                       limit=_V_BRACKET_LIMIT)
+                       "averaging noise does not dominate before t = 2**1000")
     return float(_first_false(below, start, hi))
 
 
@@ -432,10 +443,13 @@ def substitute_back_checks(inputs: TheoryInputs,
         checks["k_noise_dominates"] = second >= first * (1.0 - 1e-9)
 
     thr = _i1_threshold(inputs)
-    i1_val = int(report.i1)
+    i1_val = report.i1
+    # As for v below: past 2**53 the float i1 is not the integer the search
+    # ended on, and i1 - 1 rounds back to i1, so the float below i1 is the
+    # previous point.  Below 2**53 both points are the exact integers.
+    prev = min(i1_val - 1, math.nextafter(i1_val, 0.0))
     below = _i1_expression(inputs, i1_val) < thr
-    at_prev = (i1_val == 0
-               or _i1_expression(inputs, i1_val - 1) >= thr)
+    at_prev = i1_val == 0 or _i1_expression(inputs, prev) >= thr
     checks["i1_boundary"] = below and at_prev
 
     target_log = _u_target_log(inputs, report.i_total)

@@ -419,6 +419,17 @@ def test_diag_reports_noise_transition_past_2_62(capsys):
     assert 2.0 ** 62 < payload["v_transition"] < math.inf
 
 
+def test_diag_reports_burn_in_past_2_62(capsys):
+    args = [a for a in DIAG_DEFAULTS]
+    for flag, value in [("--upsilon", "30000"), ("--epsilon", "0.01"),
+                        ("--weights", "power")]:
+        args[args.index(flag) + 1] = value
+    assert main(args + ["--psi", "30", "--power-p", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["self_check"] == "pass"
+    assert 2.0 ** 62 < payload["i1"] < math.inf
+
+
 def test_diag_logpower_weights(capsys):
     args = [a for a in DIAG_DEFAULTS]
     args[args.index("--weights") + 1] = "logpower"

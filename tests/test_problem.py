@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.problem import (Dataset, QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, hstar_error,
-                             solve_reference)
+                             RegularizedLogistic, _logistic_gradient,
+                             hstar_error, solve_reference)
 
 # Pinned 3x2 instance; reference values computed independently with mpmath
 # at 50 digits and rounded to the nearest double.
@@ -107,6 +107,84 @@ def test_kernels_match_mpmath(m):
     # Below the normal range a double carries only absolute precision.
     assert np.allclose(got, mp_kernels(m), rtol=5e-15,
                        atol=np.finfo(float).tiny)
+
+
+# The logistic kernels written one allocating numpy call per operation.
+# The package runs the same operations in the same order in scratch
+# arrays; these forms are kept only here, as the reference for that.
+def plain_value(m, x, nu):
+    e = np.exp(-np.abs(m))
+    loss = float(np.mean(np.maximum(-m, 0.0) + np.log1p(e)))
+    return loss + 0.5 * nu * float(x @ x)
+
+
+def plain_gradient(A, b, m, x, nu):
+    e = np.exp(-np.abs(m))
+    sig_neg = np.where(m >= 0, e, 1.0) / (1.0 + e)
+    return -(A.T @ (b * sig_neg)) / A.shape[0] + nu * x
+
+
+def plain_curvature_weights(m):
+    e = np.exp(-np.abs(m))
+    return np.minimum(e / ((1.0 + e) * (1.0 + e)), 0.25)
+
+
+def plain_hessian(A, m, nu):
+    r = np.sqrt(plain_curvature_weights(m) / A.shape[0])[:, None] * A
+    h = r.T @ r
+    h[np.diag_indices_from(h)] += nu
+    return h
+
+
+SPECIAL_MARGINS = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                            745.0, -745.0, 1e6, -1e6, 36.5, -36.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 2000), d=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), special=st.floats(0.0, 1.0))
+def test_kernels_equal_plain_formulas(n, d, seed, special):
+    # Margins are passed in, so any mix can be drawn: SPECIAL_MARGINS first
+    # (as many as fit), then a share `special` of the rest drawn from them.
+    # The others are normal draws scaled by 1e-2 to 1e2, one in ten of them
+    # scaled down by up to 1e-318 more.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    tiny = rng.random(n) < 0.1
+    m[tiny] *= 10.0 ** rng.uniform(-318.0, 0.0, tiny.sum())
+    pick = rng.random(n) < special
+    m[pick] = rng.choice(SPECIAL_MARGINS, pick.sum())
+    k = min(n, len(SPECIAL_MARGINS))
+    m[:k] = SPECIAL_MARGINS[:k]
+    A = rng.standard_normal((n, d))
+    b = rng.choice([-1, 1], n)
+    x = rng.standard_normal(d)
+    nu = 1e-3
+    obj = RegularizedLogistic(Dataset(A, b), nu)
+    m_before = m.copy()
+
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    assert same(obj.value(x, margins=m), plain_value(m, x, nu))
+    # A mean over many terms can hide a one-ulp change in each of them; the
+    # mean of one term cannot.
+    for i in range(min(n, 64)):
+        one = m[i:i + 1]
+        assert same(obj.value(x, margins=one), plain_value(one, x, nu))
+    assert same(obj.gradient(x, margins=m),
+                plain_gradient(A, obj.dataset.b, m, x, nu))
+    assert same(obj.curvature_weights(x, margins=m),
+                plain_curvature_weights(m))
+    assert same(obj.hessian(x, margins=m), plain_hessian(A, m, nu))
+    # The extended-precision gradient runs the same kernel in longdouble;
+    # compared by value, since a longdouble's padding bytes are undefined.
+    ld = [v.astype(np.longdouble) for v in (A, m, x)]
+    assert np.array_equal(
+        _logistic_gradient(ld[0], obj.dataset.b, ld[1], ld[2], nu),
+        plain_gradient(ld[0], obj.dataset.b, ld[1], ld[2], nu))
+    # The scratch arrays are the kernels' own: the margins are untouched.
+    assert same(m, m_before)
 
 
 def test_gradient_matches_finite_differences():

@@ -6,6 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessavg import solver
 from hessavg.averaging import LastOnly, LogPower, Uniform, update
@@ -197,6 +200,33 @@ def test_newton_direction_skips_bad_matrices():
     assert newton_direction(np.diag([1.0, -1.0]), g) is None
     # Zero gradient cannot produce a strict descent direction.
     assert newton_direction(np.eye(2), np.zeros(2)) is None
+    # A NaN anywhere gives no direction: in the matrix through the
+    # factorization or the solve, in the gradient through the solve.
+    assert newton_direction(np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                            g) is None
+    assert newton_direction(np.diag([1.0, np.nan]), g) is None
+    assert newton_direction(np.eye(2), np.array([1.0, np.nan])) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+       log_cond=st.floats(0.0, 12.0))
+def test_newton_direction_matches_scipy_cholesky(d, seed, log_cond):
+    # SPD matrices from well conditioned to about 1e12; the direction must
+    # be the cho_factor/cho_solve solution to the bit, or None exactly when
+    # that solution fails the same checks.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** (0.5 * log_cond * rng.random(d))
+    M = rng.standard_normal((d + 2, d)) * scale
+    H = M.T @ M + 1e-3 * np.eye(d)
+    g = rng.standard_normal(d)
+    cf = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
+    want = scipy.linalg.cho_solve(cf, -g, check_finite=False)
+    got = newton_direction(H, g)
+    if not np.isfinite(want).all() or float(g @ want) >= 0.0:
+        assert got is None
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bfgs_on_logistic():

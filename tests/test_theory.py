@@ -155,18 +155,42 @@ def test_i1_logpower_frozen_values(overrides, expected):
 @given(seq=st.one_of(st.just(Uniform()), st.floats(1.0, 6.0).map(Power),
                      st.floats(0.01, 10.0).map(
                          lambda scale: LogPower(scale=scale))),
-       upsilon=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       upsilon=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
        epsilon=st.floats(0.01, 0.99), d=st.integers(1, 10 ** 4),
        delta=st.floats(1e-6, 0.99), psi=st.floats(1.0, 30.0))
 def test_i1_boundary_property(seq, upsilon, epsilon, d, delta, psi):
-    # The widest corner (LogPower(scale=10), upsilon 10, epsilon 0.01,
-    # psi 30, d 10**4, delta 1e-6) puts i1 near 2.4e15: past the point where
-    # one step of the expression is below its rounding, but below 2**53, so
-    # the float i1 is the exact integer the check substitutes back.
+    # Upsilon up to 1e3 puts i1 past 2**53, where the float i1 is not the
+    # integer the search ended on, and past 2**62, the old bracket limit.
     assume(d / delta >= math.e)
     inputs = base_inputs(weights=seq, upsilon=upsilon, epsilon=epsilon, d=d,
                          delta=delta, psi=psi)
     assert theory.substitute_back_checks(inputs)["i1_boundary"]
+
+
+def test_i1_past_2_62():
+    # The growth expression at 2**62 is 8.3130e-15 against a threshold of
+    # 8.3128e-15, so the burn-in ends just past the old bracket limit.
+    inputs = base_inputs(weights=LogPower(scale=9.0), upsilon=457.0,
+                         epsilon=0.01, psi=30.0, d=362, delta=0.5)
+    report = theory.transition_report(inputs)
+    assert 2.0 ** 62 < report.i1 < 2.0 ** 63
+    checks = theory.substitute_back_checks(inputs, report)
+    assert all(checks.values()), checks
+
+
+def test_i1_boundary_check_past_2_53():
+    # The search ends on an integer the float i1 rounds away from; the check
+    # must judge the float itself, with the float below it as the previous
+    # point.  Substituting back int(i1) fails this bundle.
+    inputs = theory.TheoryInputs(
+        kappa=10.0, lambda_min=1e-3, upsilon=1553.8383509570822,
+        epsilon=0.010976951550718747, delta=1.6890777975451035e-06, d=6897,
+        radius_nu=0.5, lipschitz_L=1.0, f0_gap=1.0, psi=27.622873538719414,
+        weights=Power(p=2.770752743954021))
+    report = theory.transition_report(inputs)
+    assert report.i1 == 1.6752608043859738e+17
+    checks = theory.substitute_back_checks(inputs, report)
+    assert all(checks.values()), checks
 
 
 def test_weight_target_search_at_large_magnitudes():

@@ -20,8 +20,10 @@ as infinity and render as "dnf"; medians and quartiles use the inverted-CDF
 (lower) convention so results are platform-stable integers.
 """
 
+import contextlib
 import hashlib
 import math
+import multiprocessing
 import os
 import struct
 import typing
@@ -394,12 +396,47 @@ def read_csv(path, what: str) -> list:
     return rows
 
 
+# Each share of a dataset CSV's rows holds at least this many values (about
+# 0.25 s of formatting), so the pool's start, about 20 ms, stays small.
+_CSV_SHARE_VALUES = 250_000
+_share_rows = []  # [A], appended by the pool initializer in share workers
+
+
+def _write_share(path, start, stop) -> None:
+    np.savetxt(path, _share_rows[0][start:stop], fmt="%.17g", delimiter=",")
+
+
 def save_dataset_csv(path, ds: Dataset) -> None:
-    """Dataset CSV: version comment, "n,d", n feature rows, one label row."""
-    with open(path, "w") as fh:
-        fh.write(_csv_text(("%d" % ds.n, "%d" % ds.d), []))
-        np.savetxt(fh, ds.A, fmt="%.17g", delimiter=",")
-        fh.write(",".join("%d" % v for v in ds.b) + "\n")
+    """Dataset CSV: version comment, "n,d", n feature rows, one label row.
+
+    The rows go out in k contiguous shares at once: forked workers inherit A
+    (pickling it would raise this process's peak memory) and write shares
+    1..k-1 to part files next to path, which are appended in order and
+    always removed, while this process writes share 0.
+    """
+    n, d = ds.A.shape
+    k = max(1, min(_available_cpus(), n, n * d // _CSV_SHARE_VALUES))
+    parts = ["%s.%d.part%d" % (path, os.getpid(), i) for i in range(1, k)]
+    pool = (ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
+                                _share_rows.append, (ds.A,))
+            if parts else contextlib.nullcontext())
+    try:
+        with pool, open(path, "w") as fh:
+            writes = [pool.submit(_write_share, part, n * i // k,
+                                  n * (i + 1) // k)
+                      for i, part in enumerate(parts, 1)]
+            fh.write(_csv_text(("%d" % n, "%d" % d), []))
+            np.savetxt(fh, ds.A[:n // k], fmt="%.17g", delimiter=",")
+            fh.flush()
+            for write, part in zip(writes, parts):
+                write.result()
+                with open(part, "rb") as src:
+                    while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
+                        pass
+            fh.write(",".join("%d" % v for v in ds.b) + "\n")
+    finally:
+        for part in filter(os.path.exists, parts):
+            os.remove(part)
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -231,9 +231,12 @@ def i1(inputs: TheoryInputs) -> float:
     One plus the last integer t where log(d(t+1)/delta) * w'(t)/w(t) still
     reaches the threshold (eps/(8*Psi*U) ^ 1)^2.  The expression rises at
     most once, peaking by t = 4, and then decays to zero for every
-    implemented sequence, so the qualifying set is an integer interval; its
-    right endpoint is found by doubling and bisection on the decreasing
-    flank.
+    implemented sequence, so in exact arithmetic the qualifying set is an
+    integer interval; its right endpoint is found by doubling and bisection
+    on the decreasing flank.  Past about 2**52 the float expression's last
+    digits are not monotone, so the test can flip more than once near the
+    end, and the point returned is one of those crossings, not always the
+    last; the self-check passes for each of them.
     """
     thr = _i1_threshold(inputs)
 

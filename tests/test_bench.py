@@ -1,10 +1,13 @@
 import copy
 import dataclasses
 import math
+import os
 import re
 import struct
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -362,19 +365,110 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded.b, ds.b)
 
 
-def test_dataset_csv_rows_match_per_element_format(tmp_path):
-    # 600 rows of every magnitude, with the edge values in the first.
-    rng = np.random.default_rng(21)
-    A = rng.standard_normal((600, 7)) * 10.0 ** rng.integers(-300, 300,
-                                                            size=(600, 7))
-    A[0, :5] = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1 / 3]
-    ds = Dataset(A=A, b=np.where(rng.random(600) < 0.5, 1, -1))
-    path = tmp_path / "data.csv"
-    save_dataset_csv(path, ds)
+EDGE_VALUES = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1 / 3]
+
+
+def _dataset_of_every_magnitude(n, d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300,
+                                                          size=(n, d))
+    return Dataset(A=A, b=np.where(rng.random(n) < 0.5, 1, -1))
+
+
+def _per_element_csv(ds):
+    """The dataset CSV text, formatted one value at a time."""
     rows = [",".join("%.17g" % v for v in ds.A[i]) for i in range(ds.n)]
     labels = ",".join("%d" % v for v in ds.b)
-    assert path.read_text() == "\n".join(
-        [CSV_VERSION, "600,7", *rows, labels]) + "\n"
+    return "\n".join([CSV_VERSION, "%d,%d" % (ds.n, ds.d), *rows,
+                      labels]) + "\n"
+
+
+def test_dataset_csv_rows_match_per_element_format(tmp_path):
+    # 600 rows of every magnitude, with the edge values in the first.
+    ds = _dataset_of_every_magnitude(600, 7, seed=21)
+    ds.A[0, :5] = EDGE_VALUES
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, ds)
+    assert path.read_text() == _per_element_csv(ds)
+
+
+class CountingPool(ProcessPoolExecutor):
+    """A real process pool that records the max_workers of each one made."""
+
+    created = []
+
+    def __init__(self, max_workers, *args):
+        self.created.append(max_workers)
+        super().__init__(max_workers, *args)
+
+
+@pytest.mark.parametrize("n, d, cpus, share_values, workers", [
+    (7, 5, 3, 1, 2),     # 3 shares of 2, 2 and 3 rows
+    (2, 5, 3, 1, 1),     # capped by n: 2 shares of one row
+    (7, 5, 3, 15, 1),    # capped by the values per share: 35 // 15 = 2
+    (600, 7, 3, 1000, 2),
+    (600, 7, 1, 1, 0),   # one CPU: no pool
+])
+def test_dataset_csv_shares_match_per_element_format(
+        tmp_path, monkeypatch, n, d, cpus, share_values, workers):
+    monkeypatch.setattr(bench, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(bench, "_CSV_SHARE_VALUES", share_values)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+    CountingPool.created = []
+    ds = _dataset_of_every_magnitude(n, d, seed=n + d)
+    k = workers + 1
+    for i in range(k):
+        # The edge values in the first and last row of every share.
+        ds.A[n * i // k, :5] = EDGE_VALUES
+        ds.A[n * (i + 1) // k - 1, -5:] = EDGE_VALUES[::-1]
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, ds)
+    assert CountingPool.created == ([workers] if workers else [])
+    assert path.read_text() == _per_element_csv(ds)
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+_WRITE_SHARE = bench._write_share
+
+
+def _share_raises(path, start, stop):
+    _WRITE_SHARE(path, start, stop)
+    raise OSError("injected share failure")
+
+
+def _share_exits(path, start, stop):
+    _WRITE_SHARE(path, start, stop)
+    os._exit(1)
+
+
+def _share_unprivileged(path, start, stop):
+    # Root may write into a read-only directory, so the worker drops to nobody.
+    if os.geteuid() == 0:
+        os.setuid(65534)
+    _WRITE_SHARE(path, start, stop)
+
+
+@pytest.mark.parametrize("writer, error, match, read_only", [
+    (_share_raises, OSError, "injected share failure", False),
+    (_share_exits, BrokenProcessPool, None, False),
+    (_share_unprivileged, PermissionError, None, True),
+], ids=["raises", "exits", "unwritable-dir"])
+def test_dataset_csv_share_failure_raises_and_leaves_no_part(
+        tmp_path, monkeypatch, writer, error, match, read_only):
+    monkeypatch.setattr(bench, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(bench, "_CSV_SHARE_VALUES", 1)
+    monkeypatch.setattr(bench, "_write_share", writer)
+    ds = _dataset_of_every_magnitude(30, 4, seed=3)
+    path = tmp_path / "data.csv"
+    path.write_text("")
+    if read_only:
+        tmp_path.chmod(0o555)
+    try:
+        with pytest.raises(error, match=match):
+            save_dataset_csv(path, ds)
+    finally:
+        tmp_path.chmod(0o755)
+    assert os.listdir(tmp_path) == ["data.csv"]
 
 
 def test_dataset_binary_roundtrip(tmp_path):

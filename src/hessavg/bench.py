@@ -3,9 +3,9 @@
 This module turns a grid description (coherence modes x condition numbers
 x sample sizes x oracles x averaging variants x seeds) into independent
 solver runs, executes them serially or across a process pool, and
-aggregates iteration counts into median/IQR rows.  It also owns the
-on-disk formats: the dataset binary, and the versioned CSV (write_csv,
-read_csv) behind every CSV file the package writes or reads.
+aggregates iteration counts into median/IQR rows.  It also owns every
+on-disk format: the dataset binary, the versioned CSV (write_csv, read_csv)
+of every CSV file, and the JSON layout (write_json) of every JSON file.
 
 Seeding: every run's seed is derived from the base seed plus a hash of
 the cell coordinates (coherence, kappa power, s multiple, oracle, variant,
@@ -22,13 +22,15 @@ as infinity and render as "dnf"; medians and quartiles use the inverted-CDF
 
 import contextlib
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 import struct
+import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -37,15 +39,14 @@ from .averaging import LastOnly, LogPower, Uniform
 from .datagen import DataGenConfig, generate
 from .oracles import CountSketch, Exact, GaussianSketch, LessUniform, Subsample
 from .problem import Dataset, RegularizedLogistic, solve_reference
-from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig,
-                     bfgs_run, run)
+from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, IterationRecord,
+                     SolverConfig, bfgs_run, run)
 
 CSV_VERSION = "# hessavg-csv v1"
 BIN_MAGIC = b"HAVG1"
 _BIN_HEADER = struct.Struct("<5sQQ")  # BIN_MAGIC, then uint64 n and d
 DNF = "dnf"
-TRACE_COLUMNS = ("t", "f", "grad_norm", "hstar_error", "stepsize",
-                 "skipped", "backtracks")
+FLOAT_FORMAT = "%.17g"  # the shortest %g that round-trips every float64
 
 # The weighted variant grows w(t) as (t+1)^{log10(t+1)}.  The natural-base
 # sequence puts roughly 2 ln(t) / t of the weight on the newest estimate,
@@ -373,17 +374,29 @@ def rows_to_csv(rows: list) -> str:
     """
     lines = [",".join("%g" % v if isinstance(v, float) else str(v)
                       for v in row.values()) for row in rows]
-    return _csv_text(list(rows[0]), lines)
+    return _csv_text([",".join(rows[0]), *lines])
 
 
-def _csv_text(header, lines) -> str:
-    return "\n".join([CSV_VERSION, ",".join(header), *lines]) + "\n"
+def _csv_text(lines) -> str:
+    return "\n".join([CSV_VERSION, *lines]) + "\n"
 
 
-def write_csv(path, header, lines) -> None:
-    """Versioned CSV: version comment, header fields, formatted lines."""
+def _csv_line(values) -> str:
+    return ",".join("%d" % v if isinstance(v, (int, np.integer))
+                    else FLOAT_FORMAT % v for v in values)
+
+
+def write_csv(path, header, rows) -> None:
+    """Versioned CSV; in the rows, ints and bools as %d, floats FLOAT_FORMAT."""
     with open(path, "w") as fh:
-        fh.write(_csv_text(header, lines))
+        fh.write(_csv_text([",".join(header), *map(_csv_line, rows)]))
+
+
+def write_json(path, payload) -> None:
+    """JSON indented by 2 and a final newline, to path (stdout if none)."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def read_csv(path, what: str) -> list:
@@ -403,7 +416,8 @@ _share_rows = []  # [A], appended by the pool initializer in share workers
 
 
 def _write_share(path, start, stop) -> None:
-    np.savetxt(path, _share_rows[0][start:stop], fmt="%.17g", delimiter=",")
+    np.savetxt(path, _share_rows[0][start:stop], fmt=FLOAT_FORMAT,
+               delimiter=",")
 
 
 def save_dataset_csv(path, ds: Dataset) -> None:
@@ -411,29 +425,31 @@ def save_dataset_csv(path, ds: Dataset) -> None:
 
     The rows go out in k contiguous shares at once: forked workers inherit A
     (pickling it would raise this process's peak memory) and write shares
-    1..k-1 to part files next to path, which are appended in order and
-    always removed, while this process writes share 0.
+    1..k-1 to part files next to path, while this process writes share 0
+    into part 0.  It appends the others in order, then moves part 0 onto
+    path, so a failed write leaves path as it was; parts are always removed.
     """
     n, d = ds.A.shape
     k = max(1, min(_available_cpus(), n, n * d // _CSV_SHARE_VALUES))
-    parts = ["%s.%d.part%d" % (path, os.getpid(), i) for i in range(1, k)]
+    parts = ["%s.%d.part%d" % (path, os.getpid(), i) for i in range(k)]
     pool = (ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
                                 _share_rows.append, (ds.A,))
-            if parts else contextlib.nullcontext())
+            if k > 1 else contextlib.nullcontext())
     try:
-        with pool, open(path, "w") as fh:
+        with pool, open(parts[0], "w") as fh:
             writes = [pool.submit(_write_share, part, n * i // k,
                                   n * (i + 1) // k)
-                      for i, part in enumerate(parts, 1)]
-            fh.write(_csv_text(("%d" % n, "%d" % d), []))
-            np.savetxt(fh, ds.A[:n // k], fmt="%.17g", delimiter=",")
+                      for i, part in enumerate(parts[1:], 1)]
+            fh.write(_csv_text([_csv_line((n, d))]))
+            np.savetxt(fh, ds.A[:n // k], fmt=FLOAT_FORMAT, delimiter=",")
             fh.flush()
-            for write, part in zip(writes, parts):
+            for write, part in zip(writes, parts[1:]):
                 write.result()
                 with open(part, "rb") as src:
                     while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
                         pass
-            fh.write(",".join("%d" % v for v in ds.b) + "\n")
+            fh.write(_csv_line(ds.b) + "\n")
+        os.replace(parts[0], path)
     finally:
         for part in filter(os.path.exists, parts):
             os.remove(part)
@@ -478,12 +494,9 @@ def load_dataset(path) -> Dataset:
 
 
 def save_trace_csv(path, records) -> None:
-    """Per-iteration trace CSV with the versioned header."""
-    write_csv(path, TRACE_COLUMNS, [
-        "%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % (
-            r.t, r.f_value, r.grad_norm, r.hstar_error, r.stepsize,
-            int(r.skipped), r.backtracks)
-        for r in records])
+    """Per-iteration trace CSV: one column per IterationRecord field."""
+    write_csv(path, [f.name for f in fields(IterationRecord)],
+              map(astuple, records))
 
 
 def load_trace_csv(path) -> dict:

@@ -56,9 +56,7 @@ def cmd_generate(args) -> int:
         "measured_condition": condition_number(ds.A),
         "x_true": list(x_true),
     }
-    with open(base + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    bench.write_json(base + ".json", sidecar)
     print("wrote %s.csv, %s.bin, %s.json (coherence %.4g, condition %.6g)"
           % (base, base, base, sidecar["measured_coherence"],
              sidecar["measured_condition"]))
@@ -82,7 +80,7 @@ def cmd_solve(args) -> int:
         "iterations_to_tol": result.iterations_to_tol,
         "converged": result.converged,
         "final_hstar_error": result.records[-1].hstar_error,
-        "final_f": result.records[-1].f_value,
+        "final_f": result.records[-1].f,
         "records": len(result.records),
         "trace": args.trace_out,
     }
@@ -97,11 +95,7 @@ def cmd_bench(args) -> int:
     base = _strip_known_suffix(args.out)
     with open(base + ".csv", "w") as fh:
         fh.write(bench.rows_to_csv(outcome["rows"]))
-    payload = {"grid": grid.__dict__, "rows": outcome["rows"],
-               "runs": outcome["runs"]}
-    with open(base + ".json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    bench.write_json(base + ".json", dict(grid=grid.__dict__, **outcome))
     failures = sum(1 for rec in outcome["runs"] if rec["error"])
     print("wrote %s.csv and %s.json (%d rows, %d runs, %d failures)"
           % (base, base, len(outcome["rows"]), len(outcome["runs"]),
@@ -128,25 +122,16 @@ def cmd_diag(args) -> int:
         weights=seq, beta=args.beta, rho=args.rho)
     report = theory.transition_report(inputs)
     checks = theory.substitute_back_checks(inputs, report)
-    payload = theory.report_to_json_dict(report)
-    payload["psi"] = psi
-    payload["checks"] = checks
-    payload["self_check"] = "pass" if all(checks.values()) else "fail"
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    payload = dict(theory.report_to_json_dict(report), psi=psi, checks=checks,
+                   self_check="pass" if all(checks.values()) else "fail")
+    bench.write_json(args.out, payload)
     if args.curves_out:
         offsets = np.unique(np.round(np.logspace(0.0, 6.0, 120)))
         offsets = np.concatenate(([0.0], offsets))
         bench.write_csv(args.curves_out, ("t", "rho_t", "theta_t"), [
-            "%d,%.17g,%.17g" % (
-                int(t),
-                theory.rho_t(inputs, report.t_total, report.j_transition, t),
-                theory.theta_t(inputs, report.i_total,
-                               report.u_transition, t))
+            (int(t),
+             theory.rho_t(inputs, report.t_total, report.j_transition, t),
+             theory.theta_t(inputs, report.i_total, report.u_transition, t))
             for t in offsets])
     return 0
 
@@ -155,13 +140,10 @@ def cmd_rates(args) -> int:
     columns = bench.load_trace_csv(args.trace)
     if "hstar_error" not in columns:
         raise ValueError("%s: no hstar_error column" % args.trace)
-    errors = columns["hstar_error"]
-    if errors.size < 2:
-        print("error: trace has fewer than 2 rows", file=sys.stderr)
-        return 2
-    idx, ratios = bench.ratio_series(errors)
-    bench.write_csv(args.out, ("t", "ratio"),
-                    ["%d,%.17g" % (i, r) for i, r in zip(idx, ratios)])
+    if columns["hstar_error"].size < 2:
+        raise ValueError("%s: trace has fewer than 2 rows" % args.trace)
+    idx, ratios = bench.ratio_series(columns["hstar_error"])
+    bench.write_csv(args.out, ("t", "ratio"), zip(idx, ratios))
     print("wrote %s (%d ratios)" % (args.out, len(ratios)))
     return 0
 

@@ -21,6 +21,8 @@ COHERENCE_MODES = ("low", "high")
 
 @dataclass
 class DataGenConfig:
+    """generate's inputs; reg_nu is only recorded (generate never reads it)."""
+
     n: int
     d: int
     coherence_mode: str  # "low" or "high"

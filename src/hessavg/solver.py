@@ -87,7 +87,7 @@ class IterationRecord:
     """Post-update snapshot of one iteration (t counts from 0)."""
 
     t: int
-    f_value: float
+    f: float
     grad_norm: float
     hstar_error: float
     stepsize: float
@@ -187,7 +187,7 @@ def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
                 x, f_cur, g_cur, m_cur = step.x, step.f, g_new, step.margins
         err = hstar_error(x, ref)
         records.append(IterationRecord(
-            t=t, f_value=f_cur, grad_norm=math.sqrt(float(g_cur @ g_cur)),
+            t=t, f=f_cur, grad_norm=math.sqrt(float(g_cur @ g_cur)),
             hstar_error=err, stepsize=stepsize, skipped=skipped,
             backtracks=backtracks))
         if not (math.isfinite(f_cur) and np.isfinite(x).all()):

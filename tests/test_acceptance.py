@@ -266,7 +266,7 @@ def test_criterion_7_property_suites(tmp_path):
         all(rec.skipped and rec.stepsize == 0.0 for rec in first)
         and len({rec.hstar_error for rec in first}) == 1
         and result.converged)
-    fvals = [rec.f_value for rec in result.records]
+    fvals = [rec.f for rec in result.records]
     results["monotone_objective"] = all(
         b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fvals, fvals[1:]))
 

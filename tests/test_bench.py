@@ -23,7 +23,8 @@ from hessavg.bench import (BIN_MAGIC, CSV_VERSION, DNF, ExperimentGrid,
                            load_dataset, load_dataset_csv, load_trace_csv,
                            oracle_for_name, ratio_series, rows_to_csv,
                            run_grid, save_dataset_binary, save_dataset_csv,
-                           save_trace_csv, stable_seed, weights_for_variant)
+                           save_trace_csv, stable_seed, weights_for_variant,
+                           write_csv)
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CountSketch, Exact, GaussianSketch, LessUniform,
                              Subsample)
@@ -448,19 +449,21 @@ def _share_unprivileged(path, start, stop):
     _WRITE_SHARE(path, start, stop)
 
 
-@pytest.mark.parametrize("writer, error, match, read_only", [
-    (_share_raises, OSError, "injected share failure", False),
-    (_share_exits, BrokenProcessPool, None, False),
-    (_share_unprivileged, PermissionError, None, True),
-], ids=["raises", "exits", "unwritable-dir"])
+@pytest.mark.parametrize("writer, error, match, read_only, existed", [
+    (_share_raises, OSError, "injected share failure", False, True),
+    (_share_exits, BrokenProcessPool, None, False, True),
+    (_share_unprivileged, PermissionError, None, True, True),
+    (_share_raises, OSError, "injected share failure", False, False),
+], ids=["raises", "exits", "unwritable-dir", "raises-no-old-file"])
 def test_dataset_csv_share_failure_raises_and_leaves_no_part(
-        tmp_path, monkeypatch, writer, error, match, read_only):
+        tmp_path, monkeypatch, writer, error, match, read_only, existed):
     monkeypatch.setattr(bench, "_available_cpus", lambda: 3)
     monkeypatch.setattr(bench, "_CSV_SHARE_VALUES", 1)
     monkeypatch.setattr(bench, "_write_share", writer)
     ds = _dataset_of_every_magnitude(30, 4, seed=3)
     path = tmp_path / "data.csv"
-    path.write_text("")
+    if existed:
+        path.write_text("")
     if read_only:
         tmp_path.chmod(0o555)
     try:
@@ -468,7 +471,10 @@ def test_dataset_csv_share_failure_raises_and_leaves_no_part(
             save_dataset_csv(path, ds)
     finally:
         tmp_path.chmod(0o755)
-    assert os.listdir(tmp_path) == ["data.csv"]
+    # The old file keeps its bytes, and a failed write makes no new one.
+    assert os.listdir(tmp_path) == (["data.csv"] if existed else [])
+    if existed:
+        assert path.read_text() == ""
 
 
 def test_dataset_binary_roundtrip(tmp_path):
@@ -567,22 +573,51 @@ def test_malformed_dataset_csv_names_the_file(tmp_path, body):
         load_dataset_csv(path)
 
 
+# Signed zero, the smallest subnormal, a value that %g would round, the
+# largest float, inf and nan.
+TRACE_EDGES = [-0.0, 5e-324, 0.1, 1.7976931348623157e308, math.inf, math.nan]
+TRACE_FLOAT_COLUMNS = ("f", "grad_norm", "hstar_error", "stepsize")
+
+
 def test_trace_roundtrip(tmp_path):
-    records = [
-        IterationRecord(t=t, f_value=1.0 / (t + 1), grad_norm=0.1 ** t,
-                        hstar_error=0.5 ** t, stepsize=1.0,
-                        skipped=(t == 0), backtracks=t % 2)
-        for t in range(6)
-    ]
+    # Each float column takes each edge value once.
+    records = []
+    for t in range(6):
+        edges = dict(zip(TRACE_FLOAT_COLUMNS,
+                         TRACE_EDGES[t:] + TRACE_EDGES[:t]))
+        records.append(IterationRecord(t=t, skipped=t % 2 == 0,
+                                       backtracks=t % 3, **edges))
     path = tmp_path / "trace.csv"
     save_trace_csv(path, records)
+    assert path.read_text().splitlines() == [
+        CSV_VERSION,
+        "t,f,grad_norm,hstar_error,stepsize,skipped,backtracks",
+        "0,-0,4.9406564584124654e-324,0.10000000000000001,"
+        "1.7976931348623157e+308,1,0",
+        "1,4.9406564584124654e-324,0.10000000000000001,"
+        "1.7976931348623157e+308,inf,0,1",
+        "2,0.10000000000000001,1.7976931348623157e+308,inf,nan,1,2",
+        "3,1.7976931348623157e+308,inf,nan,-0,0,0",
+        "4,inf,nan,-0,4.9406564584124654e-324,1,1",
+        "5,nan,-0,4.9406564584124654e-324,0.10000000000000001,0,2",
+    ]
     cols = load_trace_csv(path)
-    assert set(cols) == {"t", "f", "grad_norm", "hstar_error", "stepsize",
-                         "skipped", "backtracks"}
+    assert list(cols) == [f.name for f in dataclasses.fields(IterationRecord)]
+    for name in TRACE_FLOAT_COLUMNS:
+        want = np.array([getattr(r, name) for r in records])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(cols[name]), nan)
+        assert cols[name][~nan].tobytes() == want[~nan].tobytes()
     assert np.array_equal(cols["t"], np.arange(6.0))
-    assert np.array_equal(cols["hstar_error"], 0.5 ** np.arange(6.0))
-    assert cols["skipped"][0] == 1.0
-    assert np.all(cols["skipped"][1:] == 0.0)
+    assert np.array_equal(cols["skipped"], [1.0, 0.0] * 3)
+    assert np.array_equal(cols["backtracks"], [0.0, 1.0, 2.0] * 2)
+    # numpy scalars, as rates passes them: %d integers, %.17g floats.
+    write_csv(path, ("t", "ratio"),
+              zip(np.array([0, 2 ** 62], dtype=np.int64),
+                  np.array([0.1, -0.0], dtype=np.float64)))
+    assert path.read_text().splitlines() == [
+        CSV_VERSION, "t,ratio", "0,0.10000000000000001",
+        "4611686018427387904,-0"]
 
 
 def test_ratio_series_drops_zero_pairs():

@@ -271,7 +271,7 @@ def test_rates_from_solver_trace(dataset, tmp_path, capsys):
 
 
 def test_rates_on_geometric_trace(tmp_path, capsys):
-    records = [IterationRecord(t=t, f_value=0.0, grad_norm=0.0,
+    records = [IterationRecord(t=t, f=0.0, grad_norm=0.0,
                                hstar_error=0.5 ** t, stepsize=1.0,
                                skipped=False, backtracks=0)
                for t in range(8)]
@@ -288,15 +288,17 @@ def test_rates_on_geometric_trace(tmp_path, capsys):
 
 
 def test_rates_short_trace_is_usage_error(tmp_path, capsys):
-    records = [IterationRecord(t=0, f_value=0.0, grad_norm=0.0,
+    records = [IterationRecord(t=0, f=0.0, grad_norm=0.0,
                                hstar_error=1.0, stepsize=1.0,
                                skipped=False, backtracks=0)]
     trace = tmp_path / "one.csv"
     save_trace_csv(trace, records)
     code = main(["rates", "--trace", str(trace), "--out",
                  str(tmp_path / "r.csv")])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 2
+    assert str(trace) in err
+    assert "fewer than 2 rows" in err
 
 
 def test_rates_ragged_trace_names_the_file(tmp_path, capsys):

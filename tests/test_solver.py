@@ -102,7 +102,7 @@ def test_exact_newton_on_logistic():
 def test_objective_never_increases():
     obj, ref, config = skip_scenario()
     result = run(obj, np.zeros(10), config, ref)
-    fvals = [r.f_value for r in result.records]
+    fvals = [r.f for r in result.records]
     for a, b in zip(fvals, fvals[1:]):
         assert b <= a + 1e-12 * max(1.0, abs(a))
 

@@ -1,0 +1,183 @@
+"""sha256 digests of the files the package writes.
+
+Run from any directory with the tree's own sources:
+
+    python3 tools/output_digests.py > digests.txt
+
+It prints one "<config> <what> <sha256>" line per digest, in four parts:
+
+* datasets: for each configuration in CONFIGS, the bytes of ``generate``'s
+  A, b and x_true, the dataset CSV and binary that
+  ``bench.save_dataset_csv`` and ``bench.save_dataset_binary`` write, and
+  the three files ``hessavg generate`` writes (.csv, .bin, .json);
+* solves: on one small dataset, for each oracle x variant, the trace CSV
+  and the JSON summary of ``hessavg solve``, and the ``hessavg rates`` CSV
+  of that trace;
+* diag: the report JSON and the curve CSV of ``hessavg diag`` for uniform,
+  power and logpower weights;
+* bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
+  ``--jobs 1`` and ``--jobs 2``.
+
+The parts after the datasets go through ``cli.main`` alone, so they read no
+record field or helper that a refactor may rename, and they run inside the
+scratch directory with relative paths, so no printed path (such as the
+"trace" field of a solve summary) depends on where that directory is.
+
+Run it on two trees with the same environment (the BLAS thread count can
+change ``generate``'s bits) and ``diff`` the outputs: an empty diff says the
+change left every one of these files byte-identical.  The configurations put
+n*d on both sides of the CSV writer's share size (250,000 values per share,
+so 2 shares from 500,000 values on a machine with 2 or more CPUs), with n
+odd in some, at low and high coherence, up to the benchmark's 8000 x 400.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from hessavg import bench, cli  # noqa: E402
+from hessavg.datagen import DataGenConfig, generate  # noqa: E402
+
+# (coherence, n, d, kappa of A, seed)
+CONFIGS = [
+    ("low", 300, 30, 10.0, 1),
+    ("high", 300, 30, 10.0, 2),
+    ("low", 1001, 499, 100.0, 3),
+    ("high", 1001, 499, 100.0, 4),
+    ("low", 2001, 300, 300.0, 5),
+    ("high", 2001, 300, 300.0, 6),
+    ("low", 8000, 400, 400.0, 7),
+    ("high", 8000, 400, 400.0, 8),
+]
+REG_NU = 1e-3
+
+
+def sha256_file(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def digests(coherence, n, d, kappa, seed, workdir):
+    """(what, sha256) pairs of one configuration."""
+    cfg = DataGenConfig(n=n, d=d, coherence_mode=coherence, kappa_A=kappa,
+                        reg_nu=REG_NU, seed=seed)
+    ds, x_true = generate(cfg)
+    out = [("A", hashlib.sha256(ds.A.tobytes()).hexdigest()),
+           ("b", hashlib.sha256(ds.b.tobytes()).hexdigest()),
+           ("x_true", hashlib.sha256(x_true.tobytes()).hexdigest())]
+    base = os.path.join(workdir, "data")
+    bench.save_dataset_csv(base + ".csv", ds)
+    bench.save_dataset_binary(base + ".bin", ds)
+    out += [("save_dataset_csv", sha256_file(base + ".csv")),
+            ("save_dataset_binary", sha256_file(base + ".bin"))]
+    del ds, x_true
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["generate", "--n", str(n), "--d", str(d),
+                           "--coherence", coherence, "--kappa", repr(kappa),
+                           "--reg-nu", repr(REG_NU), "--seed", str(seed),
+                           "--out", base])
+    if status != 0:
+        raise SystemExit("hessavg generate exited with %d" % status)
+    out += [("generate" + ext, sha256_file(base + ext))
+            for ext in (".csv", ".bin", ".json")]
+    leftovers = sorted(set(os.listdir(workdir))
+                       - {"data.csv", "data.bin", "data.json"})
+    if leftovers:
+        raise SystemExit("files left behind: %s" % ", ".join(leftovers))
+    return out
+
+
+# The small dataset of the solves, and the oracle size they use.
+SOLVE_DATA = ["--n", "300", "--d", "30", "--coherence", "low", "--kappa",
+              "10", "--seed", "11"]
+SOLVE_S = "60"
+ORACLES = ("exact", "subsample", "gauss", "countsketch", "less")
+VARIANTS = ("noavg", "unifavg", "weightavg")
+DIAG_WEIGHTS = ("uniform", "power", "logpower")
+BENCH_GRID = dict(coherence_modes=["low", "high"], kappa_list=[1.0],
+                  s_list=[1.0], oracle_kinds=["subsample", "countsketch"],
+                  variants=list(VARIANTS), num_seeds=2, base_seed=0,
+                  tol=1e-6, max_iter=200, n=240, d=24, reg_nu=1e-3,
+                  include_bfgs=True)
+
+
+def run_cli(argv):
+    """What one hessavg command prints; SystemExit unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    if status != 0:
+        raise SystemExit("hessavg %s exited with %d" % (argv[0], status))
+    return out.getvalue()
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def solve_digests():
+    """Trace, summary and rates of each oracle x variant on one dataset."""
+    run_cli(["generate", *SOLVE_DATA, "--out", "solve"])
+    for oracle in ORACLES:
+        for variant in VARIANTS:
+            what = "%s-%s" % (oracle, variant)
+            summary = run_cli(["solve", "--data", "solve.bin",
+                               "--oracle", oracle, "--s", SOLVE_S,
+                               "--variant", variant, "--seed", "3",
+                               "--trace-out", "trace.csv"])
+            run_cli(["rates", "--trace", "trace.csv", "--out", "rates.csv"])
+            yield what + ".trace", sha256_file("trace.csv")
+            yield what + ".summary", sha256_text(summary)
+            yield what + ".rates", sha256_file("rates.csv")
+
+
+def diag_digests():
+    """The diag report (file and stdout) and curves of each weight kind."""
+    for weights in DIAG_WEIGHTS:
+        run_cli(["diag", "--weights", weights, "--out", "diag.json",
+                 "--curves-out", "curves.csv"])
+        printed = run_cli(["diag", "--weights", weights])
+        yield weights + ".report", sha256_file("diag.json")
+        yield weights + ".stdout", sha256_text(printed)
+        yield weights + ".curves", sha256_file("curves.csv")
+
+
+def bench_digests():
+    """The bench table and runs of one tiny grid at one and two jobs."""
+    with open("grid.json", "w") as fh:
+        json.dump(BENCH_GRID, fh)
+    for jobs in ("1", "2"):
+        run_cli(["bench", "--grid", "grid.json", "--out", "table",
+                 "--jobs", jobs])
+        yield "jobs%s.csv" % jobs, sha256_file("table.csv")
+        yield "jobs%s.json" % jobs, sha256_file("table.json")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as workdir:
+        for config in CONFIGS:
+            name = "%s-%dx%d-seed%d" % (config[0], config[1], config[2],
+                                        config[4])
+            for what, digest in digests(*config, workdir):
+                print(name, what, digest, flush=True)
+        with contextlib.chdir(workdir):
+            for name, part in (("solve-low-300x30-seed11", solve_digests),
+                               ("diag", diag_digests),
+                               ("bench", bench_digests)):
+                for what, digest in part():
+                    print(name, what, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

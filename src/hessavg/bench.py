@@ -470,11 +470,21 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def save_dataset_binary(path, ds: Dataset) -> None:
-    """Dataset binary: magic HAVG1, uint64 n and d, then row-major f64 A, f64 labels (all little-endian)."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(BIN_MAGIC, ds.n, ds.d))
-        np.ascontiguousarray(ds.A, dtype="<f8").tofile(fh)
-        ds.b.astype("<f8").tofile(fh)
+    """Dataset binary: magic HAVG1, uint64 n and d, then row-major f64 A, f64 labels (all little-endian).
+
+    Written to ``<path>.<pid>.part`` and moved onto path, so a failed write
+    leaves path as it was; the part file is always removed.
+    """
+    part = "%s.%d.part" % (path, os.getpid())
+    try:
+        with open(part, "wb") as fh:
+            fh.write(_BIN_HEADER.pack(BIN_MAGIC, ds.n, ds.d))
+            np.ascontiguousarray(ds.A, dtype="<f8").tofile(fh)
+            ds.b.astype("<f8").tofile(fh)
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def load_dataset(path) -> Dataset:

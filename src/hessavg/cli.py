@@ -45,9 +45,6 @@ def cmd_generate(args) -> int:
                         kappa_A=args.kappa, reg_nu=args.reg_nu,
                         seed=args.seed)
     ds, x_true = generate(cfg)
-    base = _strip_known_suffix(args.out)
-    bench.save_dataset_csv(base + ".csv", ds)
-    bench.save_dataset_binary(base + ".bin", ds)
     sidecar = {
         "config": {"n": args.n, "d": args.d, "coherence": args.coherence,
                    "kappa": args.kappa, "reg_nu": args.reg_nu,
@@ -56,7 +53,20 @@ def cmd_generate(args) -> int:
         "measured_condition": condition_number(ds.A),
         "x_true": list(x_true),
     }
-    bench.write_json(base + ".json", sidecar)
+    base = _strip_known_suffix(args.out)
+    # All three files or none: a failed write removes the ones before it.
+    published = []
+    try:
+        for path, write, payload in (
+                (base + ".csv", bench.save_dataset_csv, ds),
+                (base + ".bin", bench.save_dataset_binary, ds),
+                (base + ".json", bench.write_json, sidecar)):
+            write(path, payload)
+            published.append(path)
+    except BaseException:
+        for path in published:
+            os.remove(path)
+        raise
     print("wrote %s.csv, %s.bin, %s.json (coherence %.4g, condition %.6g)"
           % (base, base, base, sidecar["measured_coherence"],
              sidecar["measured_condition"]))
@@ -211,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--psi", type=float, default=None,
                     help="growth bound; computed from the weights if omitted")
     dg.add_argument("--weights", choices=("uniform", "power", "logpower"),
-                    default="uniform")
+                    default="uniform",
+                    help="weight sequence; logpower is (t+1)^ln(t+1), scale "
+                         "1, not the (t+1)^log10(t+1) of the solver's "
+                         "weightavg variant, so its predictions do not "
+                         "describe weightavg runs")
     dg.add_argument("--power-p", type=float, default=2.0)
     dg.add_argument("--out", default=None, help="report JSON path (stdout if omitted)")
     dg.add_argument("--curves-out", default=None,

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
 from ._blas import single_thread
@@ -61,6 +62,18 @@ def condition_number(A: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
+def _orthonormal_factor(G: np.ndarray) -> np.ndarray:
+    """Q of the Fortran-ordered G's economic QR, formed in G's own memory.
+
+    scipy's qr runs the same LAPACK geqrf/orgqr pair as numpy's, each sized
+    by the same workspace query, so Q has numpy's bits.  numpy's qr copies
+    its input, and its gufuncs copy that again into Fortran work arrays.
+    """
+    Q, _ = scipy.linalg.qr(G, mode="economic", overwrite_a=True,
+                           check_finite=False)
+    return Q
+
+
 @single_thread()
 def generate(config: DataGenConfig) -> tuple[Dataset, np.ndarray]:
     """Draw a dataset and its planted x_true; identical (config, seed) gives identical output.
@@ -71,18 +84,23 @@ def generate(config: DataGenConfig) -> tuple[Dataset, np.ndarray]:
     the singular values (and hence the condition number) exactly as configured;
     ``coherence`` and ``condition_number`` measure what was achieved.  It runs
     on one BLAS thread, so its bits do not depend on the caller's thread count.
+
+    At most two n x d arrays are alive at once: the Gaussian draw goes to
+    Fortran order for the QR, which then works in place, as does the
+    high-coherence rescaling and its QR; A is formed in C order beside U, so
+    ``Dataset`` keeps it without a copy.
     """
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
-    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    U = _orthonormal_factor(np.asfortranarray(rng.standard_normal((n, d))))
     if config.coherence_mode == "high":
         z = rng.gamma(shape=0.5, scale=2.0, size=n)
         while np.any(z == 0.0):  # probability-zero guard per the contract
             z[z == 0.0] = rng.gamma(shape=0.5, scale=2.0, size=int(np.sum(z == 0.0)))
-        U = U / np.sqrt(z)[:, None]
-        U, _ = np.linalg.qr(U)
+        U /= np.sqrt(z)[:, None]
+        U = _orthonormal_factor(U)
     sing = np.linspace(1.0, config.kappa_A, d)
-    A = U * sing  # A = U Sigma with V = I
+    A = np.multiply(U, sing, order="C")  # A = U Sigma with V = I
     x_true = rng.standard_normal(d) / np.sqrt(d)
     p_plus = expit(A @ x_true)
     b = np.where(rng.random(n) < p_plus, 1, -1)

@@ -152,7 +152,8 @@ class RegularizedLogistic(Objective):
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
         ds = self.dataset
-        return _logistic_gradient(ds.A, ds.b, m, x, self.reg_nu)
+        return _logistic_gradient(ds.A, _logistic_weights(ds.b, m), x,
+                                  self.reg_nu)
 
     def curvature_weights(self, x, margins=None) -> np.ndarray:
         """Per-row logistic curvature l_j = e^{-m_j}/(1+e^{-m_j})^2 in (0, 1/4]."""
@@ -179,8 +180,8 @@ class RegularizedLogistic(Objective):
         return _gram(self.glm_square_root(x, margins), self.reg_nu)
 
 
-def _logistic_gradient(A, b, m, x, nu):
-    """-(1/n) A^T (b * sigma(-m)) + nu x, in the precision of A, m and x.
+def _logistic_weights(b, m):
+    """b * sigma(-m), the per-row factor of the gradient, in m's precision.
 
     sigma(-m) = 1/(1+e^m) is formed from e = e^{-|m|}, which cannot overflow.
     The n-vector chain runs in two scratch arrays.
@@ -192,6 +193,15 @@ def _logistic_gradient(A, b, m, x, nu):
     e += 1.0
     w /= e
     w *= b
+    return w
+
+
+def _logistic_gradient(A, w, x, nu):
+    """-(1/n) A^T w + nu x, in the precision of A, w and x.
+
+    With w = _logistic_weights(b, m) this is the logistic gradient; a block
+    of A's columns with the matching entries of x gives those entries of it.
+    """
     g = A.T @ w
     np.negative(g, out=g)
     g /= A.shape[0]
@@ -245,19 +255,48 @@ class ReferenceSolution:
     h_star: np.ndarray
 
 
+# _gradient_highprec converts A to longdouble in blocks of at most this many
+# entries (1 MiB of 16-byte longdouble); all at once, the copy would take
+# twice A's memory.
+_HIGHPREC_BLOCK = 1 << 16
+
+
 def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
     """Gradient in extended precision, for the reference solve's final check.
 
     Datasets with very large rows push the float64 gradient's rounding
     floor above the reference tolerance even though the true gradient is
     far below it; evaluating in longdouble moves the floor out of the way.
+
+    A goes to longdouble one block at a time, through one reused buffer:
+    the margins by blocks of rows, A^T w by blocks of columns.  numpy's
+    longdouble products sum each margin over its row, and each entry of
+    A^T w over its column, in one sequential loop, so the blocks give the
+    values of the one-shot formula.
     """
     if not isinstance(obj, RegularizedLogistic):
         return obj.gradient(x).astype(np.longdouble)
-    ds = obj.dataset
-    A = ds.A.astype(np.longdouble)
+    A, b = obj.dataset.A, obj.dataset.b
+    n, d = A.shape
     x = x.astype(np.longdouble)
-    return _logistic_gradient(A, ds.b, ds.b * (A @ x), x, obj.reg_nu)
+    rows = max(1, _HIGHPREC_BLOCK // d)
+    cols = max(1, _HIGHPREC_BLOCK // n)
+    buf = np.empty(max(rows * d, cols * n), dtype=np.longdouble)
+    m = np.empty(n, dtype=np.longdouble)
+    for i in range(0, n, rows):
+        block = buf[:min(rows, n - i) * d].reshape(-1, d)
+        block[...] = A[i:i + rows]
+        np.matmul(block, x, out=m[i:i + rows])
+    m *= b
+    w = _logistic_weights(b, m)
+    g = np.empty(d, dtype=np.longdouble)
+    for j in range(0, d, cols):
+        # Fortran order, so each column the product sums over is contiguous.
+        block = buf[:n * min(cols, d - j)].reshape(-1, n).T
+        block[...] = A[:, j:j + cols]
+        g[j:j + cols] = _logistic_gradient(block, w, x[j:j + cols],
+                                           obj.reg_nu)
+    return g
 
 
 @single_thread()

@@ -58,6 +58,16 @@ def test_generate_high_coherence_report(tmp_path, capsys):
     assert 6.0 <= sidecar["measured_coherence"] <= 10.0 + 1e-9
 
 
+def test_generate_failure_leaves_no_files(tmp_path, capsys):
+    (tmp_path / "data.bin").mkdir()
+    assert main(gen_args(tmp_path / "data")) == 1
+    assert "i/o error" in capsys.readouterr().err
+    # The CSV written before the binary failed is gone, and so are the
+    # part files; the directory in the way is left as it was.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin"]
+    assert not any((tmp_path / "data.bin").iterdir())
+
+
 @pytest.fixture()
 def dataset(tmp_path, capsys):
     base = tmp_path / "data"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from hessavg._blas import single_thread
 from hessavg.datagen import (DataGenConfig, coherence, condition_number,
                              generate)
 
@@ -109,3 +111,32 @@ def test_condition_number_matches_singular_values():
     s = np.array([8.0, 4.0, 2.0, 1.0])
     A = U * s
     assert np.isclose(condition_number(A), 8.0, rtol=1e-12, atol=0)
+
+
+@single_thread()
+def generate_with_numpy_qr(config):
+    """generate's draws, with each orthonormal factor from numpy's QR."""
+    rng = np.random.default_rng(config.seed)
+    n, d = config.n, config.d
+    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    if config.coherence_mode == "high":
+        z = rng.gamma(shape=0.5, scale=2.0, size=n)
+        assert np.all(z > 0.0)
+        U, _ = np.linalg.qr(U / np.sqrt(z)[:, None])
+    A = U * np.linspace(1.0, config.kappa_A, d)
+    x_true = rng.standard_normal(d) / np.sqrt(d)
+    b = np.where(rng.random(n) < expit(A @ x_true), 1, -1)
+    return A, b, x_true
+
+
+@pytest.mark.parametrize("mode", ["low", "high"])
+@pytest.mark.parametrize("n, d", [(300, 30), (1001, 499)])
+def test_generate_equals_numpy_qr_reference(n, d, mode):
+    cfg = DataGenConfig(n=n, d=d, coherence_mode=mode, kappa_A=100.0,
+                        reg_nu=1e-3, seed=n + d)
+    ds, x_true = generate(cfg)
+    A, b, x_ref = generate_with_numpy_qr(cfg)
+    assert ds.A.flags.c_contiguous
+    assert ds.A.tobytes() == A.tobytes()
+    assert np.array_equal(ds.b, b)
+    assert x_true.tobytes() == x_ref.tobytes()

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hessavg import problem
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.problem import (Dataset, QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, _logistic_gradient,
+                             RegularizedLogistic, _gradient_highprec,
+                             _logistic_gradient, _logistic_weights,
                              hstar_error, solve_reference)
 
 # Pinned 3x2 instance; reference values computed independently with mpmath
@@ -181,10 +185,55 @@ def test_kernels_equal_plain_formulas(n, d, seed, special):
     # compared by value, since a longdouble's padding bytes are undefined.
     ld = [v.astype(np.longdouble) for v in (A, m, x)]
     assert np.array_equal(
-        _logistic_gradient(ld[0], obj.dataset.b, ld[1], ld[2], nu),
+        _logistic_gradient(ld[0], _logistic_weights(obj.dataset.b, ld[1]),
+                           ld[2], nu),
         plain_gradient(ld[0], obj.dataset.b, ld[1], ld[2], nu))
     # The scratch arrays are the kernels' own: the margins are untouched.
     assert same(m, m_before)
+
+
+def one_shot_highprec_gradient(obj, x):
+    """The extended-precision gradient with all of A in longdouble at once."""
+    A = obj.dataset.A.astype(np.longdouble)
+    b = obj.dataset.b
+    x = x.astype(np.longdouble)
+    return plain_gradient(A, b, b * (A @ x), x, obj.reg_nu)
+
+
+# (n, d, block): in the first three, n and d are not multiples of the rows
+# (block // d) and the columns (block // n) of a block, and there are at
+# least 2 row blocks and 3 column blocks; in the last, a single row and a
+# single column each exceed the block.
+@pytest.mark.parametrize("n, d, block", [(45, 13, 100), (203, 7, 500),
+                                         (31, 50, 120), (130, 9, 5)])
+def test_highprec_gradient_in_blocks_equals_one_shot(monkeypatch, n, d,
+                                                     block):
+    monkeypatch.setattr(problem, "_HIGHPREC_BLOCK", block)
+    rng = np.random.default_rng(n * d)
+    obj = RegularizedLogistic(
+        Dataset(rng.standard_normal((n, d)) * 4.0, rng.choice([-1, 1], n)),
+        1e-3)
+    for x in (np.zeros(d), rng.standard_normal(d),
+              30.0 * rng.standard_normal(d)):
+        got = _gradient_highprec(obj, x)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, one_shot_highprec_gradient(obj, x))
+
+
+def test_highprec_gradient_memory_is_bounded():
+    n, d = 4000, 200
+    rng = np.random.default_rng(7)
+    obj = RegularizedLogistic(
+        Dataset(rng.standard_normal((n, d)), rng.choice([-1, 1], n)), 1e-3)
+    x = rng.standard_normal(d) / np.sqrt(d)
+    tracemalloc.start()
+    try:
+        _gradient_highprec(obj, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A in longdouble would take n*d*16 bytes.
+    assert peak < n * d * 16 / 2
 
 
 def test_gradient_matches_finite_differences():

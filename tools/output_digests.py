@@ -4,7 +4,7 @@ Run from any directory with the tree's own sources:
 
     python3 tools/output_digests.py > digests.txt
 
-It prints one "<config> <what> <sha256>" line per digest, in four parts:
+It prints one "<config> <what> <sha256>" line per digest, in five parts:
 
 * datasets: for each configuration in CONFIGS, the bytes of ``generate``'s
   A, b and x_true, the dataset CSV and binary that
@@ -16,9 +16,11 @@ It prints one "<config> <what> <sha256>" line per digest, in four parts:
 * diag: the report JSON and the curve CSV of ``hessavg diag`` for uniform,
   power and logpower weights;
 * bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
-  ``--jobs 1`` and ``--jobs 2``.
+  ``--jobs 1`` and ``--jobs 2``;
+* reference solves: for each configuration in CONFIGS, ``solve_reference``'s
+  x* and H* and the extended-precision gradient at three fixed points.
 
-The parts after the datasets go through ``cli.main`` alone, so they read no
+The solves, diag and bench parts go through ``cli.main`` alone, so they read no
 record field or helper that a refactor may rename, and they run inside the
 scratch directory with relative paths, so no printed path (such as the
 "trace" field of a solve summary) depends on where that directory is.
@@ -42,7 +44,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from hessavg import bench, cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from hessavg import bench, cli, problem  # noqa: E402
 from hessavg.datagen import DataGenConfig, generate  # noqa: E402
 
 # (coherence, n, d, kappa of A, seed)
@@ -67,11 +71,18 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def config_name(coherence, n, d, kappa, seed):
+    return "%s-%dx%d-seed%d" % (coherence, n, d, seed)
+
+
+def generate_config(coherence, n, d, kappa, seed):
+    return generate(DataGenConfig(n=n, d=d, coherence_mode=coherence,
+                                  kappa_A=kappa, reg_nu=REG_NU, seed=seed))
+
+
 def digests(coherence, n, d, kappa, seed, workdir):
     """(what, sha256) pairs of one configuration."""
-    cfg = DataGenConfig(n=n, d=d, coherence_mode=coherence, kappa_A=kappa,
-                        reg_nu=REG_NU, seed=seed)
-    ds, x_true = generate(cfg)
+    ds, x_true = generate_config(coherence, n, d, kappa, seed)
     out = [("A", hashlib.sha256(ds.A.tobytes()).hexdigest()),
            ("b", hashlib.sha256(ds.b.tobytes()).hexdigest()),
            ("x_true", hashlib.sha256(x_true.tobytes()).hexdigest())]
@@ -163,11 +174,34 @@ def bench_digests():
         yield "jobs%s.json" % jobs, sha256_file("table.json")
 
 
+def sha256_longdouble(values):
+    """Digest of a longdouble array by value: its float64 part, then the rest.
+
+    A longdouble's padding bytes are undefined, so equal arrays can differ
+    in ``tobytes()``; hi + lo holds each value exactly.
+    """
+    hi = values.astype(np.float64)
+    lo = (values - hi).astype(np.float64)
+    return hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
+
+
+def reference_digests(config):
+    """x*, H* and the extended-precision gradient of one configuration."""
+    ds, x_true = generate_config(*config)
+    obj = problem.RegularizedLogistic(ds, REG_NU)
+    ref = problem.solve_reference(obj, np.zeros(ds.d))
+    yield "reference.x_star", hashlib.sha256(ref.x_star.tobytes()).hexdigest()
+    yield "reference.h_star", hashlib.sha256(ref.h_star.tobytes()).hexdigest()
+    for what, x in (("zero", np.zeros(ds.d)), ("x_true", x_true),
+                    ("4x_true", 4.0 * x_true)):
+        yield ("gradient_highprec." + what,
+               sha256_longdouble(problem._gradient_highprec(obj, x)))
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for config in CONFIGS:
-            name = "%s-%dx%d-seed%d" % (config[0], config[1], config[2],
-                                        config[4])
+            name = config_name(*config)
             for what, digest in digests(*config, workdir):
                 print(name, what, digest, flush=True)
         with contextlib.chdir(workdir):
@@ -176,6 +210,9 @@ def main():
                                ("bench", bench_digests)):
                 for what, digest in part():
                     print(name, what, digest, flush=True)
+    for config in CONFIGS:
+        for what, digest in reference_digests(config):
+            print(config_name(*config), what, digest, flush=True)
     return 0
 
 

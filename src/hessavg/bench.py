@@ -386,15 +386,38 @@ def _csv_line(values) -> str:
                     else FLOAT_FORMAT % v for v in values)
 
 
+@contextlib.contextmanager
+def _published(path, mode="w"):
+    """A file open at ``<path>.<pid>.part``, moved onto path on success.
+
+    A failed write leaves path as it was; the part file is always removed.
+    """
+    part = "%s.%d.part" % (path, os.getpid())
+    try:
+        with open(part, mode) as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def write_csv(path, header, rows) -> None:
     """Versioned CSV; in the rows, ints and bools as %d, floats FLOAT_FORMAT."""
-    with open(path, "w") as fh:
+    with _published(path) as fh:
         fh.write(_csv_text([",".join(header), *map(_csv_line, rows)]))
+
+
+def write_bench_csv(path, rows) -> None:
+    """The benchmark CSV of aggregated rows (rows_to_csv), to path."""
+    with _published(path) as fh:
+        fh.write(rows_to_csv(rows))
 
 
 def write_json(path, payload) -> None:
     """JSON indented by 2 and a final newline, to path (stdout if none)."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    target = _published(path) if path else contextlib.nullcontext(sys.stdout)
+    with target as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -410,8 +433,10 @@ def read_csv(path, what: str) -> list:
 
 
 # Each share of a dataset CSV's rows holds at least this many values (about
-# 0.25 s of formatting), so the pool's start, about 20 ms, stays small.
-_CSV_SHARE_VALUES = 250_000
+# 50 ms of formatting).  On a 2-vCPU Xeon VM two shares broke even with one
+# at about 75,000 values and won from 100,000 on (93 vs 123 ms there), so the
+# pool's start, about 20-30 ms, is paid back.
+_CSV_SHARE_VALUES = 40_000
 _share_rows = []  # [A], appended by the pool initializer in share workers
 
 
@@ -475,16 +500,10 @@ def save_dataset_binary(path, ds: Dataset) -> None:
     Written to ``<path>.<pid>.part`` and moved onto path, so a failed write
     leaves path as it was; the part file is always removed.
     """
-    part = "%s.%d.part" % (path, os.getpid())
-    try:
-        with open(part, "wb") as fh:
-            fh.write(_BIN_HEADER.pack(BIN_MAGIC, ds.n, ds.d))
-            np.ascontiguousarray(ds.A, dtype="<f8").tofile(fh)
-            ds.b.astype("<f8").tofile(fh)
-        os.replace(part, path)
-    finally:
-        if os.path.exists(part):
-            os.remove(part)
+    with _published(path, "wb") as fh:
+        fh.write(_BIN_HEADER.pack(BIN_MAGIC, ds.n, ds.d))
+        np.ascontiguousarray(ds.A, dtype="<f8").tofile(fh)
+        ds.b.astype("<f8").tofile(fh)
 
 
 def load_dataset(path) -> Dataset:

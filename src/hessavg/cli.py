@@ -40,6 +40,22 @@ def _strip_known_suffix(path: str) -> str:
     return path
 
 
+def _write_all(files) -> None:
+    """Each (path, write, payload) as write(path, payload): all or none.
+
+    When one write fails, the files written before it are removed.
+    """
+    published = []
+    try:
+        for path, write, payload in files:
+            write(path, payload)
+            published.append(path)
+    except BaseException:
+        for path in published:
+            os.remove(path)
+        raise
+
+
 def cmd_generate(args) -> int:
     cfg = DataGenConfig(n=args.n, d=args.d, coherence_mode=args.coherence,
                         kappa_A=args.kappa, reg_nu=args.reg_nu,
@@ -54,19 +70,9 @@ def cmd_generate(args) -> int:
         "x_true": list(x_true),
     }
     base = _strip_known_suffix(args.out)
-    # All three files or none: a failed write removes the ones before it.
-    published = []
-    try:
-        for path, write, payload in (
-                (base + ".csv", bench.save_dataset_csv, ds),
+    _write_all([(base + ".csv", bench.save_dataset_csv, ds),
                 (base + ".bin", bench.save_dataset_binary, ds),
-                (base + ".json", bench.write_json, sidecar)):
-            write(path, payload)
-            published.append(path)
-    except BaseException:
-        for path in published:
-            os.remove(path)
-        raise
+                (base + ".json", bench.write_json, sidecar)])
     print("wrote %s.csv, %s.bin, %s.json (coherence %.4g, condition %.6g)"
           % (base, base, base, sidecar["measured_coherence"],
              sidecar["measured_condition"]))
@@ -103,9 +109,9 @@ def cmd_bench(args) -> int:
         grid = bench.ExperimentGrid.from_dict(json.load(fh))
     outcome = bench.run_grid(grid, jobs=args.jobs)
     base = _strip_known_suffix(args.out)
-    with open(base + ".csv", "w") as fh:
-        fh.write(bench.rows_to_csv(outcome["rows"]))
-    bench.write_json(base + ".json", dict(grid=grid.__dict__, **outcome))
+    _write_all([(base + ".csv", bench.write_bench_csv, outcome["rows"]),
+                (base + ".json", bench.write_json,
+                 dict(grid=grid.__dict__, **outcome))])
     failures = sum(1 for rec in outcome["runs"] if rec["error"])
     print("wrote %s.csv and %s.json (%d rows, %d runs, %d failures)"
           % (base, base, len(outcome["rows"]), len(outcome["runs"]),

@@ -179,7 +179,8 @@ def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
         l /= kind.s
         np.sqrt(l, out=l)
         # R is formed as glm_square_root forms it from all n rows, so a
-        # full subsample (s = n) reproduces the exact Hessian bit for bit.
+        # full subsample (s = n) reproduces the exact Hessian bit for bit
+        # when n fits in one of the Hessian's blocks.
         # A[idx] is a fresh copy, so it is scaled in place.
         r = ds.A[idx]
         r *= l[:, None]

@@ -103,10 +103,22 @@ def _gram(r: np.ndarray, nu: float) -> np.ndarray:
     flops of a general product and fills both triangles with the same
     values, so the result is exactly symmetric.
     """
-    h = r.T @ r
+    return _add_to_diagonal(r.T @ r, nu)
+
+
+def _add_to_diagonal(h: np.ndarray, nu: float) -> np.ndarray:
     diagonal = h.reshape(-1)[::h.shape[0] + 1]  # a view: h is contiguous
     diagonal += nu
     return h
+
+
+# RegularizedLogistic.hessian forms its square root this many entries at a
+# time (2 MiB of float64).  The row count per block depends on d alone, so
+# the sum does not depend on the machine.  At 8000 x 400 one call took
+# 45.5 ms in 1 MiB blocks, 41.1 ms in 2 MiB and 39.1 ms in 4 MiB, against
+# 38.3 ms for the one-shot product, which takes 24 MiB more (medians of 41,
+# one BLAS thread, 2-vCPU Xeon VM).
+_HESSIAN_BLOCK = 1 << 18
 
 
 class RegularizedLogistic(Objective):
@@ -169,15 +181,44 @@ class RegularizedLogistic(Objective):
         l /= den
         return np.minimum(l, 0.25, out=l)
 
-    def glm_square_root(self, x, margins=None) -> np.ndarray:
-        """M = (1/sqrt(n)) diag(l)^{1/2} A, so that M^T M + reg_nu I = hessian."""
+    def _root_weights(self, x, margins):
+        """sqrt(l/n), the row scales of glm_square_root."""
         l = self.curvature_weights(x, margins)
         l /= self.dataset.n
-        np.sqrt(l, out=l)
-        return l[:, None] * self.dataset.A
+        return np.sqrt(l, out=l)
+
+    def glm_square_root(self, x, margins=None) -> np.ndarray:
+        """M = (1/sqrt(n)) diag(l)^{1/2} A, so that M^T M + reg_nu I = hessian.
+
+        An n x d array, as large as A; hessian never forms it whole.
+        """
+        return self._root_weights(x, margins)[:, None] * self.dataset.A
 
     def hessian(self, x, margins=None) -> np.ndarray:
-        return _gram(self.glm_square_root(x, margins), self.reg_nu)
+        """sum_b M_b^T M_b + reg_nu I, M_b the row blocks of glm_square_root.
+
+        Each M_b, of at most _HESSIAN_BLOCK entries, is formed in one reused
+        buffer and its Gram product (syrk, as in _gram, so exactly
+        symmetric) in one reused d x d array that is added to the sum, so M
+        is never formed whole.  When n fits in one block this is
+        _gram(glm_square_root(x), reg_nu) to the bit; past that the sum
+        rounds differently, by about an ulp.
+        """
+        A = self.dataset.A
+        n, d = A.shape
+        w = self._root_weights(x, margins)
+        rows = max(1, _HESSIAN_BLOCK // d)
+        buf = np.empty(min(rows, n) * d)
+        h = part = None
+        for i in range(0, n, rows):
+            block = buf[:min(rows, n - i) * d].reshape(-1, d)
+            np.multiply(w[i:i + rows, None], A[i:i + rows], out=block)
+            if h is None:
+                h = block.T @ block
+            else:
+                part = np.matmul(block.T, block, out=part)
+                h += part
+        return _add_to_diagonal(h, self.reg_nu)
 
 
 def _logistic_weights(b, m):

@@ -106,12 +106,15 @@ class RunResult:
 def newton_direction(h_tilde: np.ndarray, g: np.ndarray):
     """Solve h_tilde p = -g if h_tilde is positive definite.
 
-    Returns None (skip) when the Cholesky factorization fails or the
-    solution is not a strict descent direction.  The LAPACK calls are the
-    ones cho_factor(lower=True)/cho_solve make, with the same arguments, so
-    p is the same to the bit.
+    h_tilde must be exactly symmetric, as every Hessian, estimate and
+    average in this package is.  Returns None (skip) when the Cholesky
+    factorization fails or the solution is not a strict descent direction.
+    The LAPACK calls are the ones cho_factor(lower=True)/cho_solve make,
+    with the same arguments, so p is the same to the bit.
     """
-    c, info = _potrf(h_tilde, lower=1, clean=0)
+    # potrf reads a Fortran-order matrix.  h_tilde.T is one, with the values
+    # of h_tilde by symmetry, so f2py copies it as it lies, not transposed.
+    c, info = _potrf(h_tilde.T, lower=1, clean=0)
     if info != 0:
         return None
     # -g is a fresh array, so potrs may solve in place.

@@ -24,7 +24,7 @@ from hessavg.bench import (BIN_MAGIC, CSV_VERSION, DNF, ExperimentGrid,
                            oracle_for_name, ratio_series, rows_to_csv,
                            run_grid, save_dataset_binary, save_dataset_csv,
                            save_trace_csv, stable_seed, weights_for_variant,
-                           write_csv)
+                           write_csv, write_json)
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CountSketch, Exact, GaussianSketch, LessUniform,
                              Subsample)
@@ -618,6 +618,28 @@ def test_trace_roundtrip(tmp_path):
     assert path.read_text().splitlines() == [
         CSV_VERSION, "t,ratio", "0,0.10000000000000001",
         "4611686018427387904,-0"]
+
+
+def _rows_then_failure():
+    yield (1, 0.5)
+    raise OSError("injected row failure")
+
+
+@pytest.mark.parametrize("write, payload, error", [
+    (lambda path, rows: write_csv(path, ("t", "ratio"), rows()),
+     _rows_then_failure, OSError),
+    (write_json, {"a": 1, "b": object()}, TypeError),
+], ids=["csv", "json"])
+def test_writers_leave_path_as_it_was_on_failure(tmp_path, write, payload,
+                                                  error):
+    # json.dump fails after it has written part of the object.  Either way
+    # the old file keeps its bytes and no part file is left.
+    path = tmp_path / "out"
+    path.write_text("old")
+    with pytest.raises(error):
+        write(path, payload)
+    assert os.listdir(tmp_path) == ["out"]
+    assert path.read_text() == "old"
 
 
 def test_ratio_series_drops_zero_pairs():

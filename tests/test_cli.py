@@ -150,6 +150,20 @@ def test_bench_runs_grid_and_is_parallel_invariant(tmp_path, capsys):
     assert len(payload["runs"]) == 9
 
 
+def test_bench_failure_leaves_no_files(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(TINY_GRID))
+    (tmp_path / "table.json").mkdir()
+    assert main(["bench", "--grid", str(grid_path), "--out",
+                 str(tmp_path / "table"), "--jobs", "1"]) == 1
+    assert "i/o error" in capsys.readouterr().err
+    # The CSV written before the JSON failed is gone, and so are the part
+    # files; the directory in the way is left as it was.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json",
+                                                           "table.json"]
+    assert not any((tmp_path / "table.json").iterdir())
+
+
 def test_bench_cell_reproducible_via_solve(tmp_path, capsys):
     # Any grid cell must be reproducible by the single-run commands using
     # the seeds recorded in the bench output.

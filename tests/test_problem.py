@@ -236,6 +236,58 @@ def test_highprec_gradient_memory_is_bounded():
     assert peak < n * d * 16 / 2
 
 
+def random_logistic(n, d, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    obj = RegularizedLogistic(
+        Dataset(rng.standard_normal((n, d)) * scale, rng.choice([-1, 1], n)),
+        1e-3)
+    return obj, rng.standard_normal(d) / np.sqrt(d)
+
+
+# The acceptance fixtures' shape and the pinned solves' shape: each fits in
+# one block, so their Hessians keep the bits of the one-shot product.
+@pytest.mark.parametrize("n, d", [(1000, 100), (200, 20)])
+def test_hessian_in_one_block_equals_one_shot(n, d):
+    assert n * d <= problem._HESSIAN_BLOCK
+    obj, x = random_logistic(n, d, seed=n + d)
+    want = problem._gram(obj.glm_square_root(x), obj.reg_nu)
+    assert obj.hessian(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 2000))
+def test_hessian_in_blocks_is_symmetric_and_near_one_shot(n, d, seed, block):
+    # block below d gives one row per block; above n*d, one block.
+    obj, x = random_logistic(n, d, seed, scale=3.0)
+    M = obj.glm_square_root(x)
+    want = problem._gram(M, obj.reg_nu)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem, "_HESSIAN_BLOCK", block)
+        got = obj.hessian(x)
+    assert np.array_equal(got, got.T)
+    # Each of the two sums of n products is within gamma_{n+1} sum|m m| of
+    # the exact one, and adding nu rounds each once more.
+    eps = np.finfo(float).eps
+    gamma = (n + 1) * eps / (1 - (n + 1) * eps)
+    bound = 2 * gamma * (np.abs(M).T @ np.abs(M)) + 2 * eps * np.abs(want)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_hessian_memory_is_bounded():
+    n, d = 4000, 200
+    obj, x = random_logistic(n, d, seed=7)
+    m = obj.margins(x)
+    tracemalloc.start()
+    try:
+        obj.hessian(x, margins=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The square root M whole would take n*d*8 bytes.
+    assert peak < n * d * 8 / 2
+
+
 def test_gradient_matches_finite_differences():
     obj = small_instance()
     x = np.cos(np.arange(9.0))

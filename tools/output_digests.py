@@ -18,7 +18,8 @@ It prints one "<config> <what> <sha256>" line per digest, in five parts:
 * bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
   ``--jobs 1`` and ``--jobs 2``;
 * reference solves: for each configuration in CONFIGS, ``solve_reference``'s
-  x* and H* and the extended-precision gradient at three fixed points.
+  x* and H*, and the extended-precision gradient and the exact Hessian at
+  three fixed points.
 
 The solves, diag and bench parts go through ``cli.main`` alone, so they read no
 record field or helper that a refactor may rename, and they run inside the
@@ -28,9 +29,10 @@ scratch directory with relative paths, so no printed path (such as the
 Run it on two trees with the same environment (the BLAS thread count can
 change ``generate``'s bits) and ``diff`` the outputs: an empty diff says the
 change left every one of these files byte-identical.  The configurations put
-n*d on both sides of the CSV writer's share size (250,000 values per share,
-so 2 shares from 500,000 values on a machine with 2 or more CPUs), with n
-odd in some, at low and high coherence, up to the benchmark's 8000 x 400.
+n*d on both sides of the CSV writer's share size (40,000 values per share,
+so 2 shares from 80,000 values on a machine with 2 or more CPUs) and of the
+exact Hessian's block (2 MiB, 262,144 values), with n odd in some, at low
+and high coherence, up to the benchmark's 8000 x 400.
 """
 
 import contextlib
@@ -186,16 +188,20 @@ def sha256_longdouble(values):
 
 
 def reference_digests(config):
-    """x*, H* and the extended-precision gradient of one configuration."""
+    """x*, H*, and the gradients and Hessians at three points of one config."""
     ds, x_true = generate_config(*config)
     obj = problem.RegularizedLogistic(ds, REG_NU)
     ref = problem.solve_reference(obj, np.zeros(ds.d))
     yield "reference.x_star", hashlib.sha256(ref.x_star.tobytes()).hexdigest()
     yield "reference.h_star", hashlib.sha256(ref.h_star.tobytes()).hexdigest()
-    for what, x in (("zero", np.zeros(ds.d)), ("x_true", x_true),
-                    ("4x_true", 4.0 * x_true)):
+    points = (("zero", np.zeros(ds.d)), ("x_true", x_true),
+              ("4x_true", 4.0 * x_true))
+    for what, x in points:
         yield ("gradient_highprec." + what,
                sha256_longdouble(problem._gradient_highprec(obj, x)))
+    for what, x in points:
+        yield "hessian." + what, hashlib.sha256(obj.hessian(x).tobytes()
+                                                ).hexdigest()
 
 
 def main():

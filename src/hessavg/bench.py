@@ -39,8 +39,8 @@ from .averaging import LastOnly, LogPower, Uniform
 from .datagen import DataGenConfig, generate
 from .oracles import CountSketch, Exact, GaussianSketch, LessUniform, Subsample
 from .problem import Dataset, RegularizedLogistic, solve_reference
-from .solver import (DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, IterationRecord,
-                     SolverConfig, bfgs_run, run)
+from .solver import (DEFAULT_BETA, DEFAULT_MAX_ITER, DEFAULT_RHO, DEFAULT_TOL,
+                     IterationRecord, SolverConfig, bfgs_run, run)
 
 CSV_VERSION = "# hessavg-csv v1"
 BIN_MAGIC = b"HAVG1"
@@ -124,7 +124,7 @@ class ExperimentGrid:
     num_seeds: int = 50
     base_seed: int = 0
     tol: float = DEFAULT_TOL
-    max_iter: int = 999
+    max_iter: int = DEFAULT_MAX_ITER
     n: int = 1000
     d: int = 100
     reg_nu: float = 1e-3
@@ -450,31 +450,30 @@ def save_dataset_csv(path, ds: Dataset) -> None:
 
     The rows go out in k contiguous shares at once: forked workers inherit A
     (pickling it would raise this process's peak memory) and write shares
-    1..k-1 to part files next to path, while this process writes share 0
-    into part 0.  It appends the others in order, then moves part 0 onto
-    path, so a failed write leaves path as it was; parts are always removed.
+    1..k-1 to part files next to path, while this process writes the header
+    and share 0 through _published and appends the others in order, so a
+    failed write leaves path as it was; parts are always removed.
     """
     n, d = ds.A.shape
     k = max(1, min(_available_cpus(), n, n * d // _CSV_SHARE_VALUES))
-    parts = ["%s.%d.part%d" % (path, os.getpid(), i) for i in range(k)]
+    parts = ["%s.%d.part%d" % (path, os.getpid(), i) for i in range(1, k)]
     pool = (ProcessPoolExecutor(k - 1, multiprocessing.get_context("fork"),
                                 _share_rows.append, (ds.A,))
             if k > 1 else contextlib.nullcontext())
     try:
-        with pool, open(parts[0], "w") as fh:
+        with pool, _published(path) as fh:
             writes = [pool.submit(_write_share, part, n * i // k,
                                   n * (i + 1) // k)
-                      for i, part in enumerate(parts[1:], 1)]
+                      for i, part in enumerate(parts, 1)]
             fh.write(_csv_text([_csv_line((n, d))]))
             np.savetxt(fh, ds.A[:n // k], fmt=FLOAT_FORMAT, delimiter=",")
             fh.flush()
-            for write, part in zip(writes, parts[1:]):
+            for write, part in zip(writes, parts):
                 write.result()
                 with open(part, "rb") as src:
                     while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
                         pass
             fh.write(_csv_line(ds.b) + "\n")
-        os.replace(parts[0], path)
     finally:
         for part in filter(os.path.exists, parts):
             os.remove(part)

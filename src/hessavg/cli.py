@@ -30,7 +30,8 @@ from .datagen import (COHERENCE_MODES, DataGenConfig, coherence,
                       condition_number, generate)
 from .oracles import CapabilityError
 from .problem import RegularizedLogistic, solve_reference
-from .solver import DEFAULT_BETA, DEFAULT_RHO, DEFAULT_TOL, SolverConfig, run
+from .solver import (DEFAULT_BETA, DEFAULT_MAX_ITER, DEFAULT_RHO, DEFAULT_TOL,
+                     SolverConfig, run)
 
 
 def _strip_known_suffix(path: str) -> str:
@@ -193,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=DEFAULT_BETA)
     s.add_argument("--rho", type=float, default=DEFAULT_RHO)
     s.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    s.add_argument("--max-iter", type=int,
-                   default=bench.ExperimentGrid.max_iter)
+    s.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--reg-nu", type=float, default=bench.ExperimentGrid.reg_nu,
                    help="l2 strength of the objective built from the data")

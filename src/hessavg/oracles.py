@@ -1,9 +1,11 @@
 """Stochastic Hessian oracles.
 
 Every oracle returns an estimate H_hat(x) = H(x) + E(x) of the true Hessian,
-where E is a mean-zero random perturbation.  On a GLM each is a self-product
-R^T R + nu I that numpy hands to BLAS syrk, so it is exactly symmetric with
-no symmetrize pass.  Four constructions are provided:
+where E is a mean-zero random perturbation.  On a GLM each is R^T R + nu I
+from the one routine ``problem._gram``, which hands the self-products of R's
+row blocks to BLAS syrk, so it is exactly symmetric with no symmetrize pass,
+and a full subsample (s = n) is the exact Hessian to the bit.  Four
+constructions are provided:
 
 * ``Exact`` returns H(x) itself (zero noise).
 * ``Subsample`` averages s per-row curvature terms drawn without replacement.
@@ -178,9 +180,6 @@ def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
         l = obj.curvature_weights(x, margins=m[idx])
         l /= kind.s
         np.sqrt(l, out=l)
-        # R is formed as glm_square_root forms it from all n rows, so a
-        # full subsample (s = n) reproduces the exact Hessian bit for bit
-        # when n fits in one of the Hessian's blocks.
         # A[idx] is a fresh copy, so it is scaled in place.
         r = ds.A[idx]
         r *= l[:, None]

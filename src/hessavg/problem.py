@@ -96,29 +96,41 @@ class Objective(ABC):
     def hessian(self, x, margins=None) -> np.ndarray: ...
 
 
-def _gram(r: np.ndarray, nu: float) -> np.ndarray:
-    """r^T r + nu*I, the one form of every GLM Hessian and estimate.
+# _gram sums its product over row blocks of at most this many entries (2 MiB
+# of float64).  The row count per block depends on d alone, so the sum does
+# not depend on the machine.  For the exact Hessian at 8000 x 400 one call
+# took 45.5 ms in 1 MiB blocks, 41.1 ms in 2 MiB and 39.1 ms in 4 MiB,
+# against 38.3 ms for the one-shot product, which takes 24 MiB more (medians
+# of 41, one BLAS thread, 2-vCPU Xeon VM).
+_HESSIAN_BLOCK = 1 << 18
 
-    numpy sends the self-product r^T r to BLAS syrk, which does half the
+
+def _gram(r: np.ndarray, nu: float, w=None) -> np.ndarray:
+    """R^T R + nu*I for R = diag(w) r, or R = r if w is None.
+
+    The one form of every GLM Hessian and estimate.  R^T R is summed over
+    row blocks R_b of at most _HESSIAN_BLOCK entries: views of r, or, with
+    w, blocks of r scaled by w into one reused buffer, so R is never formed
+    whole.  numpy sends each R_b^T R_b to BLAS syrk, which does half the
     flops of a general product and fills both triangles with the same
     values, so the result is exactly symmetric.
     """
-    return _add_to_diagonal(r.T @ r, nu)
-
-
-def _add_to_diagonal(h: np.ndarray, nu: float) -> np.ndarray:
-    diagonal = h.reshape(-1)[::h.shape[0] + 1]  # a view: h is contiguous
-    diagonal += nu
+    n, d = r.shape
+    rows = max(1, _HESSIAN_BLOCK // d)
+    buf = None if w is None else np.empty(min(rows, n) * d)
+    h = part = None
+    for i in range(0, n, rows):
+        block = r[i:i + rows]
+        if w is not None:
+            block = np.multiply(w[i:i + rows, None], block,
+                                out=buf[:block.size].reshape(block.shape))
+        if h is None:
+            h = block.T @ block
+        else:
+            part = np.matmul(block.T, block, out=part)
+            h += part
+    h.reshape(-1)[::d + 1] += nu  # the diagonal, a view: h is contiguous
     return h
-
-
-# RegularizedLogistic.hessian forms its square root this many entries at a
-# time (2 MiB of float64).  The row count per block depends on d alone, so
-# the sum does not depend on the machine.  At 8000 x 400 one call took
-# 45.5 ms in 1 MiB blocks, 41.1 ms in 2 MiB and 39.1 ms in 4 MiB, against
-# 38.3 ms for the one-shot product, which takes 24 MiB more (medians of 41,
-# one BLAS thread, 2-vCPU Xeon VM).
-_HESSIAN_BLOCK = 1 << 18
 
 
 class RegularizedLogistic(Objective):
@@ -195,30 +207,14 @@ class RegularizedLogistic(Objective):
         return self._root_weights(x, margins)[:, None] * self.dataset.A
 
     def hessian(self, x, margins=None) -> np.ndarray:
-        """sum_b M_b^T M_b + reg_nu I, M_b the row blocks of glm_square_root.
+        """_gram(glm_square_root(x), reg_nu), without forming M whole.
 
-        Each M_b, of at most _HESSIAN_BLOCK entries, is formed in one reused
-        buffer and its Gram product (syrk, as in _gram, so exactly
-        symmetric) in one reused d x d array that is added to the sum, so M
-        is never formed whole.  When n fits in one block this is
-        _gram(glm_square_root(x), reg_nu) to the bit; past that the sum
-        rounds differently, by about an ulp.
+        _gram scales each row block of A by its root weights in one reused
+        buffer, so the Hessian takes a block of M at a time, and it equals
+        _gram(glm_square_root(x), reg_nu) to the bit at every size.
         """
-        A = self.dataset.A
-        n, d = A.shape
-        w = self._root_weights(x, margins)
-        rows = max(1, _HESSIAN_BLOCK // d)
-        buf = np.empty(min(rows, n) * d)
-        h = part = None
-        for i in range(0, n, rows):
-            block = buf[:min(rows, n - i) * d].reshape(-1, d)
-            np.multiply(w[i:i + rows, None], A[i:i + rows], out=block)
-            if h is None:
-                h = block.T @ block
-            else:
-                part = np.matmul(block.T, block, out=part)
-                h += part
-        return _add_to_diagonal(h, self.reg_nu)
+        return _gram(self.dataset.A, self.reg_nu,
+                     self._root_weights(x, margins))
 
 
 def _logistic_weights(b, m):

@@ -47,6 +47,7 @@ from .problem import ReferenceSolution, _as_vector, hstar_error
 DEFAULT_BETA = 1e-4
 DEFAULT_RHO = 0.5
 DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITER = 999
 MAX_BACKTRACKS = 60
 
 # The LAPACK routines behind scipy's cho_factor/cho_solve, resolved once:
@@ -68,7 +69,7 @@ class SolverConfig:
 
     beta: float = DEFAULT_BETA
     rho_backtrack: float = DEFAULT_RHO
-    max_iter: int = 500
+    max_iter: int = DEFAULT_MAX_ITER
     tol_hstar: float = DEFAULT_TOL
     oracle: object = field(default_factory=Exact)
     weights: object = field(default_factory=Uniform)

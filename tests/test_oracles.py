@@ -49,10 +49,12 @@ def test_subsample_full_sample_is_exact():
 
 
 def test_subsample_full_sample_is_exact_at_blocked_size():
-    obj = glm_instance(n=300, d=100, seed=21)
-    x = np.cos(np.arange(100.0)) / 10
-    est = estimate(Subsample(300), obj, x, np.random.default_rng(0))
-    assert np.array_equal(est, obj.hessian(x))
+    # 300 x 100 fits in one of _gram's blocks; 3000 x 100 takes three.
+    for n in (300, 3000):
+        obj = glm_instance(n=n, d=100, seed=21)
+        x = np.cos(np.arange(100.0)) / 10
+        est = estimate(Subsample(n), obj, x, np.random.default_rng(0))
+        assert np.array_equal(est, obj.hessian(x)), n
 
 
 def test_oracle_unbiasedness_monte_carlo():

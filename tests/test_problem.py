@@ -250,6 +250,16 @@ def random_logistic(n, d, seed, scale=1.0):
 def test_hessian_in_one_block_equals_one_shot(n, d):
     assert n * d <= problem._HESSIAN_BLOCK
     obj, x = random_logistic(n, d, seed=n + d)
+    M = obj.glm_square_root(x)
+    want = M.T @ M + obj.reg_nu * np.eye(d)
+    assert obj.hessian(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(3000, 100), (2001, 300)])
+def test_hessian_is_gram_of_square_root_past_one_block(n, d):
+    # The weighted blocks of hessian and the views of M sum alike.
+    assert n * d > problem._HESSIAN_BLOCK
+    obj, x = random_logistic(n, d, seed=n + d)
     want = problem._gram(obj.glm_square_root(x), obj.reg_nu)
     assert obj.hessian(x).tobytes() == want.tobytes()
 
@@ -261,7 +271,7 @@ def test_hessian_in_blocks_is_symmetric_and_near_one_shot(n, d, seed, block):
     # block below d gives one row per block; above n*d, one block.
     obj, x = random_logistic(n, d, seed, scale=3.0)
     M = obj.glm_square_root(x)
-    want = problem._gram(M, obj.reg_nu)
+    want = M.T @ M + obj.reg_nu * np.eye(d)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problem, "_HESSIAN_BLOCK", block)
         got = obj.hessian(x)

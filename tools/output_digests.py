@@ -4,7 +4,7 @@ Run from any directory with the tree's own sources:
 
     python3 tools/output_digests.py > digests.txt
 
-It prints one "<config> <what> <sha256>" line per digest, in five parts:
+It prints one "<config> <what> <sha256>" line per digest, in six parts:
 
 * datasets: for each configuration in CONFIGS, the bytes of ``generate``'s
   A, b and x_true, the dataset CSV and binary that
@@ -19,7 +19,10 @@ It prints one "<config> <what> <sha256>" line per digest, in five parts:
   ``--jobs 1`` and ``--jobs 2``;
 * reference solves: for each configuration in CONFIGS, ``solve_reference``'s
   x* and H*, and the extended-precision gradient and the exact Hessian at
-  three fixed points.
+  three fixed points;
+* estimates: one estimate of each oracle kind at x_true with a fixed seed,
+  on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
+  s = 1000, so that s*d lies on both sides of the Hessian's block.
 
 The solves, diag and bench parts go through ``cli.main`` alone, so they read no
 record field or helper that a refactor may rename, and they run inside the
@@ -31,7 +34,7 @@ change ``generate``'s bits) and ``diff`` the outputs: an empty diff says the
 change left every one of these files byte-identical.  The configurations put
 n*d on both sides of the CSV writer's share size (40,000 values per share,
 so 2 shares from 80,000 values on a machine with 2 or more CPUs) and of the
-exact Hessian's block (2 MiB, 262,144 values), with n odd in some, at low
+Hessian's block (2 MiB, 262,144 values), with n odd in some, at low
 and high coherence, up to the benchmark's 8000 x 400.
 """
 
@@ -48,7 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from hessavg import bench, cli, problem  # noqa: E402
+from hessavg import bench, cli, oracles, problem  # noqa: E402
 from hessavg.datagen import DataGenConfig, generate  # noqa: E402
 
 # (coherence, n, d, kappa of A, seed)
@@ -204,6 +207,21 @@ def reference_digests(config):
                                                 ).hexdigest()
 
 
+# (configuration, s): s*d is 1,800 and 300,000 values.
+ESTIMATES = [(CONFIGS[0], 60), (CONFIGS[4], 1000)]
+ESTIMATE_SEED = 12
+
+
+def estimate_digests(config, s):
+    """One estimate of each oracle kind at x_true of one configuration."""
+    ds, x_true = generate_config(*config)
+    obj = problem.RegularizedLogistic(ds, REG_NU)
+    for name in ORACLES:
+        est = oracles.estimate(bench.oracle_for_name(name, s), obj, x_true,
+                               np.random.default_rng(ESTIMATE_SEED))
+        yield "estimate." + name, hashlib.sha256(est.tobytes()).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for config in CONFIGS:
@@ -219,6 +237,10 @@ def main():
     for config in CONFIGS:
         for what, digest in reference_digests(config):
             print(config_name(*config), what, digest, flush=True)
+    for config, s in ESTIMATES:
+        for what, digest in estimate_digests(config, s):
+            print("%s-s%d" % (config_name(*config), s), what, digest,
+                  flush=True)
     return 0
 
 

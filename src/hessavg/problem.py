@@ -11,6 +11,9 @@ evaluation accepts it as ``margins=`` and then skips that pass, so a caller
 that evaluates several quantities at one point forms the margins once and
 hands them along.  Nothing is cached: everything here is a pure function of
 its inputs, and objects are safe to share across concurrent runs.
+
+Everything runs in float64.  ``solve_reference`` certifies its x* by the
+float64 gradient at fresh margins, and raises where it cannot.
 """
 
 from __future__ import annotations
@@ -175,9 +178,21 @@ class RegularizedLogistic(Objective):
     def gradient(self, x, margins=None) -> np.ndarray:
         x = _as_vector(x, self.dim)
         m = self.margins(x) if margins is None else margins
-        ds = self.dataset
-        return _logistic_gradient(ds.A, _logistic_weights(ds.b, m), x,
-                                  self.reg_nu)
+        # -(1/n) A^T (b * sigma(-m)) + reg_nu x.  sigma(-m) = 1/(1+e^m) is
+        # formed from e = e^{-|m|}, which cannot overflow; the n-vector chain
+        # runs in two scratch arrays.
+        e = np.abs(m)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        w = np.where(m >= 0, e, 1.0)
+        e += 1.0
+        w /= e
+        w *= self.dataset.b
+        g = self.dataset.A.T @ w
+        np.negative(g, out=g)
+        g /= self.dataset.n
+        g += self.reg_nu * x
+        return g
 
     def curvature_weights(self, x, margins=None) -> np.ndarray:
         """Per-row logistic curvature l_j = e^{-m_j}/(1+e^{-m_j})^2 in (0, 1/4]."""
@@ -215,35 +230,6 @@ class RegularizedLogistic(Objective):
         """
         return _gram(self.dataset.A, self.reg_nu,
                      self._root_weights(x, margins))
-
-
-def _logistic_weights(b, m):
-    """b * sigma(-m), the per-row factor of the gradient, in m's precision.
-
-    sigma(-m) = 1/(1+e^m) is formed from e = e^{-|m|}, which cannot overflow.
-    The n-vector chain runs in two scratch arrays.
-    """
-    e = np.abs(m)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    w = np.where(m >= 0, e, 1.0)
-    e += 1.0
-    w /= e
-    w *= b
-    return w
-
-
-def _logistic_gradient(A, w, x, nu):
-    """-(1/n) A^T w + nu x, in the precision of A, w and x.
-
-    With w = _logistic_weights(b, m) this is the logistic gradient; a block
-    of A's columns with the matching entries of x gives those entries of it.
-    """
-    g = A.T @ w
-    np.negative(g, out=g)
-    g /= A.shape[0]
-    g += nu * x
-    return g
 
 
 class QuadraticTest(Objective):
@@ -286,68 +272,29 @@ class QuadraticTest(Objective):
 
 @dataclass
 class ReferenceSolution:
-    """High-precision minimizer x* and the Hessian H* there."""
+    """Minimizer x*, certified by its float64 gradient, and H* there."""
 
     x_star: np.ndarray
     h_star: np.ndarray
 
 
-# _gradient_highprec converts A to longdouble in blocks of at most this many
-# entries (1 MiB of 16-byte longdouble); all at once, the copy would take
-# twice A's memory.
-_HIGHPREC_BLOCK = 1 << 16
-
-
-def _gradient_highprec(obj: Objective, x: np.ndarray) -> np.ndarray:
-    """Gradient in extended precision, for the reference solve's final check.
-
-    Datasets with very large rows push the float64 gradient's rounding
-    floor above the reference tolerance even though the true gradient is
-    far below it; evaluating in longdouble moves the floor out of the way.
-
-    A goes to longdouble one block at a time, through one reused buffer:
-    the margins by blocks of rows, A^T w by blocks of columns.  numpy's
-    longdouble products sum each margin over its row, and each entry of
-    A^T w over its column, in one sequential loop, so the blocks give the
-    values of the one-shot formula.
-    """
-    if not isinstance(obj, RegularizedLogistic):
-        return obj.gradient(x).astype(np.longdouble)
-    A, b = obj.dataset.A, obj.dataset.b
-    n, d = A.shape
-    x = x.astype(np.longdouble)
-    rows = max(1, _HIGHPREC_BLOCK // d)
-    cols = max(1, _HIGHPREC_BLOCK // n)
-    buf = np.empty(max(rows * d, cols * n), dtype=np.longdouble)
-    m = np.empty(n, dtype=np.longdouble)
-    for i in range(0, n, rows):
-        block = buf[:min(rows, n - i) * d].reshape(-1, d)
-        block[...] = A[i:i + rows]
-        np.matmul(block, x, out=m[i:i + rows])
-    m *= b
-    w = _logistic_weights(b, m)
-    g = np.empty(d, dtype=np.longdouble)
-    for j in range(0, d, cols):
-        # Fortran order, so each column the product sums over is contiguous.
-        block = buf[:n * min(cols, d - j)].reshape(-1, n).T
-        block[...] = A[:, j:j + cols]
-        g[j:j + cols] = _logistic_gradient(block, w, x[j:j + cols],
-                                           obj.reg_nu)
-    return g
-
-
 @single_thread()
 def solve_reference(obj: Objective, x0) -> ReferenceSolution:
-    """Damped Newton to ||grad f|| <= 1e-13, at most 200 iterations.
+    """Damped Newton to ||grad f|| <= 1e-13, then full Newton steps.
 
     Uses the same direction/line-search primitives as the stochastic solver
     (exact Hessian, Armijo with the default beta and rho), so the stochastic
     solver with an exact oracle and no averaging reproduces these iterates.
 
-    The main loop runs in float64; once its gradient evaluations hit their
-    rounding floor, a short full-step polish driven by an extended-precision
-    gradient finishes the job, and the tolerance is verified against that
-    gradient.  Raises RuntimeError when the tolerance is not reached.
+    The main loop carries the line search's margins from step to step and
+    stops at the tolerance, after 200 iterations, or at the rounding floor,
+    where its gradient norm stops halving below 1e-9.  Up to 20 full Newton
+    steps follow, on the gradient at fresh margins, until it meets the
+    tolerance, the Newton system fails or x stops changing.  x* is certified
+    by that gradient: RuntimeError is raised unless it meets the tolerance.
+    On data scaled far up, float64 rounding keeps it above (see the README).
+    RuntimeError is also raised when reg_nu = 0 and x* separates the data:
+    then f has no minimizer.
     """
     from .solver import DEFAULT_BETA, DEFAULT_RHO, line_search, newton_direction
 
@@ -361,7 +308,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         if g_norm <= REF_GRAD_TOL:
             break
         if g_norm <= 1e-9 and g_norm >= 0.5 * prev_norm:
-            break  # float64 rounding floor reached; polish takes over
+            break  # float64 rounding floor reached; full steps take over
         prev_norm = g_norm
         p = newton_direction(obj.hessian(x, margins=m), g)
         if p is None:
@@ -373,24 +320,30 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
             raise RuntimeError("reference solve: line search failed")
         x, f, m = step.x, step.f, step.margins
         g = obj.gradient(x, margins=m)
-    g_hp = _gradient_highprec(obj, x)
+    m = obj.margins(x)
+    g = obj.gradient(x, margins=m)
     for _ in range(20):
-        if float(np.linalg.norm(g_hp)) <= REF_GRAD_TOL:
+        if math.sqrt(float(g @ g)) <= REF_GRAD_TOL:
             break
-        p = newton_direction(obj.hessian(x), g_hp.astype(float))
+        p = newton_direction(obj.hessian(x, margins=m), g)
         if p is None:
             break
         x_new = x + p
         if np.array_equal(x_new, x):
             break
         x = x_new
-        g_hp = _gradient_highprec(obj, x)
-    grad_norm = float(np.linalg.norm(g_hp))
+        m = obj.margins(x)
+        g = obj.gradient(x, margins=m)
+    grad_norm = math.sqrt(float(g @ g))
     if grad_norm > REF_GRAD_TOL:
         raise RuntimeError(
-            f"reference solve did not reach ||grad|| <= {REF_GRAD_TOL:g} "
-            f"within {REF_MAX_ITER} iterations (final {grad_norm:.3e})")
-    return ReferenceSolution(x_star=x, h_star=obj.hessian(x))
+            f"reference solve: final ||grad f|| = {grad_norm:.3e} is above "
+            f"the tolerance {REF_GRAD_TOL:g}")
+    if (isinstance(obj, RegularizedLogistic) and obj.reg_nu == 0
+            and (m > 0).all()):
+        raise RuntimeError("reference solve: the data are linearly separable "
+                           "and reg_nu = 0, so f has no minimizer")
+    return ReferenceSolution(x_star=x, h_star=obj.hessian(x, margins=m))
 
 
 def hstar_error(x, ref: ReferenceSolution) -> float:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from hessavg import problem
 from hessavg.datagen import DataGenConfig, generate
-from hessavg.problem import (Dataset, QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, _gradient_highprec,
-                             _logistic_gradient, _logistic_weights,
+from hessavg.problem import (REF_GRAD_TOL, Dataset, QuadraticTest,
+                             ReferenceSolution, RegularizedLogistic,
                              hstar_error, solve_reference)
 
 # Pinned 3x2 instance; reference values computed independently with mpmath
@@ -181,59 +180,8 @@ def test_kernels_equal_plain_formulas(n, d, seed, special):
     assert same(obj.curvature_weights(x, margins=m),
                 plain_curvature_weights(m))
     assert same(obj.hessian(x, margins=m), plain_hessian(A, m, nu))
-    # The extended-precision gradient runs the same kernel in longdouble;
-    # compared by value, since a longdouble's padding bytes are undefined.
-    ld = [v.astype(np.longdouble) for v in (A, m, x)]
-    assert np.array_equal(
-        _logistic_gradient(ld[0], _logistic_weights(obj.dataset.b, ld[1]),
-                           ld[2], nu),
-        plain_gradient(ld[0], obj.dataset.b, ld[1], ld[2], nu))
     # The scratch arrays are the kernels' own: the margins are untouched.
     assert same(m, m_before)
-
-
-def one_shot_highprec_gradient(obj, x):
-    """The extended-precision gradient with all of A in longdouble at once."""
-    A = obj.dataset.A.astype(np.longdouble)
-    b = obj.dataset.b
-    x = x.astype(np.longdouble)
-    return plain_gradient(A, b, b * (A @ x), x, obj.reg_nu)
-
-
-# (n, d, block): in the first three, n and d are not multiples of the rows
-# (block // d) and the columns (block // n) of a block, and there are at
-# least 2 row blocks and 3 column blocks; in the last, a single row and a
-# single column each exceed the block.
-@pytest.mark.parametrize("n, d, block", [(45, 13, 100), (203, 7, 500),
-                                         (31, 50, 120), (130, 9, 5)])
-def test_highprec_gradient_in_blocks_equals_one_shot(monkeypatch, n, d,
-                                                     block):
-    monkeypatch.setattr(problem, "_HIGHPREC_BLOCK", block)
-    rng = np.random.default_rng(n * d)
-    obj = RegularizedLogistic(
-        Dataset(rng.standard_normal((n, d)) * 4.0, rng.choice([-1, 1], n)),
-        1e-3)
-    for x in (np.zeros(d), rng.standard_normal(d),
-              30.0 * rng.standard_normal(d)):
-        got = _gradient_highprec(obj, x)
-        assert got.dtype == np.longdouble
-        assert np.array_equal(got, one_shot_highprec_gradient(obj, x))
-
-
-def test_highprec_gradient_memory_is_bounded():
-    n, d = 4000, 200
-    rng = np.random.default_rng(7)
-    obj = RegularizedLogistic(
-        Dataset(rng.standard_normal((n, d)), rng.choice([-1, 1], n)), 1e-3)
-    x = rng.standard_normal(d) / np.sqrt(d)
-    tracemalloc.start()
-    try:
-        _gradient_highprec(obj, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # A in longdouble would take n*d*16 bytes.
-    assert peak < n * d * 16 / 2
 
 
 def random_logistic(n, d, seed, scale=1.0):
@@ -405,6 +353,40 @@ def test_reference_solution_high_coherence():
     obj = RegularizedLogistic(ds, 1e-3)
     ref = solve_reference(obj, np.zeros(30))
     assert np.linalg.norm(obj.gradient(ref.x_star)) <= 1e-12
+
+
+def test_reference_full_steps_certify_by_the_fresh_gradient():
+    # On this dataset the main loop stops short of the tolerance, and a full
+    # Newton step takes the gradient at fresh margins under it.
+    cfg = DataGenConfig(n=300, d=30, coherence_mode="low", kappa_A=30.0,
+                        reg_nu=1e-3, seed=3)
+    ds, _ = generate(cfg)
+    obj = RegularizedLogistic(ds, 1e-3)
+    ref = solve_reference(obj, np.zeros(30))
+    assert np.linalg.norm(obj.gradient(ref.x_star)) <= REF_GRAD_TOL
+
+
+def test_reference_raises_where_float64_cannot_certify():
+    # With A scaled by 10^3.25 the float64 gradient's rounding floor lies
+    # above the tolerance, so no x* is returned.
+    cfg = DataGenConfig(n=1000, d=100, coherence_mode="low", kappa_A=100.0,
+                        reg_nu=1e-3, seed=0)
+    ds, _ = generate(cfg)
+    obj = RegularizedLogistic(Dataset(ds.A * 10 ** 3.25, ds.b), 1e-3)
+    with pytest.raises(RuntimeError, match=r"final \|\|grad f\|\| = \S+ is "
+                       r"above the tolerance 1e-13$"):
+        solve_reference(obj, np.zeros(100))
+
+
+@pytest.mark.parametrize("n, d", [(40, 5), (1000, 20)])
+def test_reference_raises_on_separable_data_without_regularizer(n, d):
+    # f tends to 0 along a separating direction and has no minimizer; the
+    # gradient still falls under the tolerance on the way out.
+    rng = np.random.default_rng(n + d)
+    A = rng.standard_normal((n, d))
+    b = np.where(A @ rng.standard_normal(d) > 0, 1, -1)
+    with pytest.raises(RuntimeError, match="linearly separable"):
+        solve_reference(RegularizedLogistic(Dataset(A, b), 0.0), np.zeros(d))
 
 
 def test_hstar_error_metric():

@@ -3,6 +3,12 @@
 Run from any directory with the tree's own sources:
 
     python3 tools/output_digests.py > digests.txt
+    python3 tools/output_digests.py --diff OTHER_TREE
+
+The second form runs the script of OTHER_TREE and this one, each in its own
+process, and prints only the lines that moved, as a unified diff without
+context (``-`` OTHER_TREE, ``+`` this tree).  It exits 0 when no line moved
+and 1 otherwise.
 
 It prints one "<config> <what> <sha256>" line per digest, in six parts:
 
@@ -18,8 +24,7 @@ It prints one "<config> <what> <sha256>" line per digest, in six parts:
 * bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
   ``--jobs 1`` and ``--jobs 2``;
 * reference solves: for each configuration in CONFIGS, ``solve_reference``'s
-  x* and H*, and the extended-precision gradient and the exact Hessian at
-  three fixed points;
+  x* and H*, and the gradient and the exact Hessian at three fixed points;
 * estimates: one estimate of each oracle kind at x_true with a fixed seed,
   on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
   s = 1000, so that s*d lies on both sides of the Hessian's block.
@@ -30,19 +35,25 @@ scratch directory with relative paths, so no printed path (such as the
 "trace" field of a solve summary) depends on where that directory is.
 
 Run it on two trees with the same environment (the BLAS thread count can
-change ``generate``'s bits) and ``diff`` the outputs: an empty diff says the
-change left every one of these files byte-identical.  The configurations put
-n*d on both sides of the CSV writer's share size (40,000 values per share,
-so 2 shares from 80,000 values on a machine with 2 or more CPUs) and of the
-Hessian's block (2 MiB, 262,144 values), with n odd in some, at low
-and high coherence, up to the benchmark's 8000 x 400.
+change ``generate``'s bits) and compare the outputs, or let ``--diff`` do
+both: no moved line says the change left every one of these files
+byte-identical.  To compare the same digests, copy this script into the
+other tree's ``tools/`` first.
+
+The configurations put n*d on both sides of the CSV writer's share size
+(40,000 values per share, so 2 shares from 80,000 values on a machine with
+2 or more CPUs) and of the Hessian's block (2 MiB, 262,144 values), with n
+odd in some, at low and high coherence, up to the benchmark's 8000 x 400.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -179,17 +190,6 @@ def bench_digests():
         yield "jobs%s.json" % jobs, sha256_file("table.json")
 
 
-def sha256_longdouble(values):
-    """Digest of a longdouble array by value: its float64 part, then the rest.
-
-    A longdouble's padding bytes are undefined, so equal arrays can differ
-    in ``tobytes()``; hi + lo holds each value exactly.
-    """
-    hi = values.astype(np.float64)
-    lo = (values - hi).astype(np.float64)
-    return hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
-
-
 def reference_digests(config):
     """x*, H*, and the gradients and Hessians at three points of one config."""
     ds, x_true = generate_config(*config)
@@ -200,8 +200,8 @@ def reference_digests(config):
     points = (("zero", np.zeros(ds.d)), ("x_true", x_true),
               ("4x_true", 4.0 * x_true))
     for what, x in points:
-        yield ("gradient_highprec." + what,
-               sha256_longdouble(problem._gradient_highprec(obj, x)))
+        yield "gradient." + what, hashlib.sha256(obj.gradient(x).tobytes()
+                                                 ).hexdigest()
     for what, x in points:
         yield "hessian." + what, hashlib.sha256(obj.hessian(x).tobytes()
                                                 ).hexdigest()
@@ -222,7 +222,30 @@ def estimate_digests(config, s):
         yield "estimate." + name, hashlib.sha256(est.tobytes()).hexdigest()
 
 
+def diff(other_tree):
+    """Print the lines that moved from other_tree's digests to this tree's."""
+    outputs = []
+    for tree in (other_tree, ROOT):
+        script = os.path.join(tree, "tools", "output_digests.py")
+        outputs.append(subprocess.run([sys.executable, script], check=True,
+                                      capture_output=True, text=True
+                                      ).stdout.splitlines())
+    # [2:] drops the two file header lines; "@@" lines head each hunk.
+    moved = [line for line in list(difflib.unified_diff(
+        *outputs, other_tree, ROOT, n=0, lineterm=""))[2:]
+             if not line.startswith("@@")]
+    for line in moved:
+        print(line)
+    return 1 if moved else 0
+
+
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", metavar="OTHER_TREE",
+                    help="print only the digests that moved from OTHER_TREE")
+    args = ap.parse_args()
+    if args.diff is not None:
+        return diff(os.path.abspath(args.diff))
     with tempfile.TemporaryDirectory() as workdir:
         for config in CONFIGS:
             name = config_name(*config)

@@ -4,11 +4,11 @@ The package is organized around the pipeline of a randomized second-order
 experiment:
 
 - ``problem``: objective contract, regularized logistic regression, quadratic
-  test objective, high-precision reference solutions and the H*-error metric.
+  test objective, float64-certified reference solutions and H*-error.
 - ``datagen``: synthetic logistic instances with controlled coherence and
   condition number.
 - ``oracles``: stochastic Hessian estimators (subsampling and three sketches)
-  plus noise diagnostics.
+  and the noise norms of repeated draws.
 - ``averaging``: the online weighted Hessian averaging recursion and the
   weight-sequence family.
 - ``solver``: the averaged stochastic Newton loop with skip rule and Armijo

@@ -22,9 +22,8 @@ constructions are provided:
 the same order, so the estimates do not change.  S does not depend on x,
 so it can be drawn before x is known.
 
-``noise_sample`` draws repeated estimates at a fixed point and summarizes the
-noise level; its tail-scale fit is a diagnostic heuristic and is never used
-inside the solver.  ``spectral_norm`` takes every norm from a full symmetric
+``noise_sample`` returns the noise norms of repeated draws at a fixed point
+(no solver path calls it), each from ``spectral_norm``: a full symmetric
 eigendecomposition, so it is exact at any d.
 """
 
@@ -89,21 +88,6 @@ class LessUniform(_Sized):
 
 
 SKETCH_KINDS = (GaussianSketch, CountSketch, LessUniform)
-
-
-@dataclass
-class NoiseStats:
-    """Summary of repeated oracle draws at a fixed point.
-
-    upsilon_hat is the maximum-likelihood exponential scale of the top
-    decile of spectral noise norms (mean excess over the 90th percentile),
-    a documented heuristic for the sub-exponential noise level.
-    """
-
-    sample_count: int
-    spectral_norms: np.ndarray
-    upsilon_hat: float
-    mean_residual_norm: float
 
 
 def resolve_kind(kind, d: int):
@@ -198,20 +182,12 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
-def noise_sample(kind, obj, x, rng, count: int) -> NoiseStats:
-    """Draw count estimates at fixed x and summarize the noise E = H_hat - H."""
+def noise_sample(kind, obj, x, rng, count: int) -> np.ndarray:
+    """The spectral norms ||H_hat - H||_2 of count estimates drawn at fixed x."""
     if count < 2:
         raise ValueError("count must be >= 2")
     margins = obj.margins(x)
     h_true = obj.hessian(x, margins=margins)
-    norms = np.empty(count)
-    total = np.zeros_like(h_true)
-    for i in range(count):
-        est = estimate(kind, obj, x, rng, margins=margins)
-        total += est
-        norms[i] = spectral_norm(est - h_true)
-    q90 = float(np.quantile(norms, 0.9))
-    tail = norms[norms >= q90]
-    upsilon = float(np.mean(tail - q90)) if tail.size else 0.0
-    residual = spectral_norm(total / count - h_true)
-    return NoiseStats(count, norms, upsilon, residual)
+    return np.array([
+        spectral_norm(estimate(kind, obj, x, rng, margins=margins) - h_true)
+        for _ in range(count)])

@@ -288,7 +288,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
 
     The main loop carries the line search's margins from step to step and
     stops at the tolerance, after 200 iterations, or at the rounding floor,
-    where its gradient norm stops halving below 1e-9.  Up to 20 full Newton
+    where its gradient norm stops halving below 1e-8.  Up to 20 full Newton
     steps follow, on the gradient at fresh margins, until it meets the
     tolerance, the Newton system fails or x stops changing.  x* is certified
     by that gradient: RuntimeError is raised unless it meets the tolerance.
@@ -307,7 +307,7 @@ def solve_reference(obj: Objective, x0) -> ReferenceSolution:
         g_norm = math.sqrt(float(g @ g))
         if g_norm <= REF_GRAD_TOL:
             break
-        if g_norm <= 1e-9 and g_norm >= 0.5 * prev_norm:
+        if g_norm <= 1e-8 and g_norm >= 0.5 * prev_norm:
             break  # float64 rounding floor reached; full steps take over
         prev_norm = g_norm
         p = newton_direction(obj.hessian(x, margins=m), g)

@@ -299,11 +299,13 @@ def test_spectral_norm_power_iteration_path():
 def test_noise_sample_summary():
     obj = glm_instance()
     x = np.zeros(8)
-    stats = noise_sample(Subsample(12), obj, x, np.random.default_rng(1), 50)
-    assert stats.sample_count == 50
-    assert stats.spectral_norms.shape == (50,)
-    assert np.all(stats.spectral_norms >= 0.0)
-    assert stats.upsilon_hat >= 0.0
-    assert stats.mean_residual_norm >= 0.0
+    norms = noise_sample(Subsample(12), obj, x, np.random.default_rng(1), 50)
+    assert norms.shape == (50,)
+    assert norms.dtype == np.float64
+    assert np.all(norms >= 0.0)
+    # Each norm is that of one draw's noise, drawn in order from rng.
+    rng = np.random.default_rng(1)
+    est = estimate(Subsample(12), obj, x, rng)
+    assert norms[0] == spectral_norm(est - obj.hessian(x))
     with pytest.raises(ValueError):
         noise_sample(Subsample(12), obj, x, np.random.default_rng(1), 1)

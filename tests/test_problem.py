@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hessavg import problem
+from hessavg import problem, solver
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.problem import (REF_GRAD_TOL, Dataset, QuadraticTest,
                              ReferenceSolution, RegularizedLogistic,
@@ -363,6 +363,28 @@ def test_reference_full_steps_certify_by_the_fresh_gradient():
     ds, _ = generate(cfg)
     obj = RegularizedLogistic(ds, 1e-3)
     ref = solve_reference(obj, np.zeros(30))
+    assert np.linalg.norm(obj.gradient(ref.x_star)) <= REF_GRAD_TOL
+
+
+def test_reference_stops_at_the_rounding_floor(monkeypatch):
+    # A perfbench grid dataset whose main loop stalls at ||g|| = 3.4e-9,
+    # where Armijo compares rounding noise: the floor break must fire there
+    # and leave the rest to the full steps, not run out REF_MAX_ITER.
+    cfg = DataGenConfig(n=1000, d=100, coherence_mode="low", kappa_A=100.0,
+                        reg_nu=1e-3, seed=176337296440474)
+    ds, _ = generate(cfg)
+    obj = RegularizedLogistic(ds, 1e-3)
+    calls = []
+    newton_direction = solver.newton_direction
+
+    def counted(*args):
+        calls.append(args)
+        return newton_direction(*args)
+
+    # solve_reference imports newton_direction from solver at call time.
+    monkeypatch.setattr(solver, "newton_direction", counted)
+    ref = solve_reference(obj, np.zeros(100))
+    assert len(calls) <= 20
     assert np.linalg.norm(obj.gradient(ref.x_star)) <= REF_GRAD_TOL
 
 

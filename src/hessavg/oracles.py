@@ -10,11 +10,15 @@ constructions are provided:
 * ``Exact`` returns H(x) itself (zero noise).
 * ``Subsample`` averages s per-row curvature terms drawn without replacement.
 * ``GaussianSketch``, ``CountSketch`` and ``LessUniform`` compress the GLM
-  square-root factor M (with M^T M + nu I = H) through a random s x n matrix
-  S with E[S^T S] = I, returning (SM)^T (SM) + nu I.  Gaussian S is a
-  dense ndarray; CountSketch S (one nonzero per column) is a CSC array and
-  LESS S (nnz_per_row nonzeros per row) a CSR array, so for these two the
-  product S @ M costs O(nnz(S) d) instead of O(s n d).
+  square-root factor M = diag(r) A, r = sqrt(l/n) (with M^T M + nu I = H),
+  through a random s x n matrix S with E[S^T S] = I, returning
+  (SM)^T (SM) + nu I.  Gaussian S is a dense ndarray applied to M.
+  CountSketch S (one nonzero per column) is a CSC array and LESS S
+  (nnz_per_row nonzeros per row) a CSR array; for these two, estimate
+  scales S's nonzeros by r and forms (S diag(r)) @ A, which costs
+  O(nnz(S) d) and never forms M.  CountSketch's values are +-1, so its
+  estimate equals the one from S @ M to the bit; LESS's do too when
+  n = s * nnz_per_row, and elsewhere they agree to about an ulp.
 
 ``estimate`` draws S itself unless the caller passes one as ``sketch=``.
 ``solver.run`` does that for ``GaussianSketch``: it draws each next S with
@@ -87,9 +91,6 @@ class LessUniform(_Sized):
             raise ValueError("nnz_per_row must be >= 1")
 
 
-SKETCH_KINDS = (GaussianSketch, CountSketch, LessUniform)
-
-
 def resolve_kind(kind, d: int):
     """Fill in kind defaults that depend on the problem dimension."""
     if isinstance(kind, LessUniform) and kind.nnz_per_row is None:
@@ -109,9 +110,10 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
     """Draw one s x n sketching matrix S with E[S^T S] = I.
 
     Each kind comes in the form that is cheapest to apply to a dense n x d
-    M: Gaussian S is a dense ndarray (S @ M costs O(s n d)); CountSketch S
-    is a CSC array with one nonzero per column and LESS S a CSR array with
-    nnz_per_row nonzeros per row, so S @ M costs O(nnz(S) d).
+    array: Gaussian S is a dense ndarray (S @ M costs O(s n d)); CountSketch
+    S is a CSC array with one nonzero per column and LESS S a CSR array with
+    nnz_per_row nonzeros per row, so ``estimate`` scales their nonzeros by
+    the root weights and applies them to A in O(nnz(S) d).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -168,12 +170,26 @@ def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
         r = ds.A[idx]
         r *= l[:, None]
         return _gram(r, obj.reg_nu)
-    if isinstance(kind, SKETCH_KINDS):
+    if isinstance(kind, GaussianSketch):
         _require_glm(obj, kind)
         M = obj.glm_square_root(x, margins=margins)
         if sketch is None:
             sketch = sketch_matrix(kind, M.shape[0], rng)
         return _gram(sketch @ M, obj.reg_nu)
+    if isinstance(kind, (CountSketch, LessUniform)):
+        _require_glm(obj, kind)
+        ds = obj.dataset
+        # S @ M = (S diag(r)) @ A with r = sqrt(l/n): scaling S's nonzeros
+        # by r forms no n x d array.  A caller's S is copied, not scaled.
+        sketch = (sketch_matrix(kind, ds.n, rng) if sketch is None
+                  else sketch.copy())
+        r = obj.curvature_weights(x, margins=margins)
+        r /= ds.n
+        np.sqrt(r, out=r)
+        # CountSketch (CSC) holds column j's one nonzero at data[j]; LESS
+        # (CSR) holds the nonzeros of column j wherever indices == j.
+        sketch.data *= r if isinstance(kind, CountSketch) else r[sketch.indices]
+        return _gram(sketch @ ds.A, obj.reg_nu)
     raise CapabilityError("unknown oracle kind: %r" % (kind,))
 
 

@@ -3,8 +3,9 @@
 The solver and benchmarks work against a small objective contract: an
 objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
 ``hessian``.  Generalized linear objectives additionally expose
-``curvature_weights`` and ``glm_square_root`` so that sketching oracles can
-form the square-root Hessian.
+``curvature_weights`` and ``glm_square_root``: the Gaussian sketch applies
+its S to the square-root Hessian M, and the sparse sketches scale their S by
+M's row weights sqrt(l/n) and apply it to A.
 
 ``margins(x)`` is the one pass over the data at x; it is linear in x.  Every
 evaluation accepts it as ``margins=`` and then skips that pass, so a caller

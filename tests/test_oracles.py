@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hessavg.oracles import (CapabilityError, CountSketch, Exact,
                              GaussianSketch, LessUniform,
                              Subsample, estimate, noise_sample, resolve_kind,
                              sketch_matrix, spectral_norm)
-from hessavg.problem import QuadraticTest, RegularizedLogistic
+from hessavg.problem import QuadraticTest, RegularizedLogistic, _gram
 
 
 def dense(S):
@@ -150,6 +151,60 @@ def test_sparse_sketch_estimates_match_dense_products():
         Sd = S.toarray()
         expected = M.T @ Sd.T @ Sd @ M + obj.reg_nu * np.eye(d)
         assert np.max(np.abs(est - expected)) <= tol, kind
+
+
+# 300 x 30 fits in one of _gram's blocks; 2001 x 300 with s = 1000 takes two.
+@pytest.mark.parametrize("n, d, s", [(300, 30, 60), (1000, 100, 100),
+                                     (2001, 300, 1000)])
+def test_sparse_sketch_estimates_equal_square_root_products(n, d, s):
+    # The sparse kinds apply S diag(sqrt(l/n)) to A instead of S to M.
+    # CountSketch's +-1 times r_j is exact, so the estimate is
+    # _gram(S @ M) to the bit.  LESS's +-c times r_j rounds unless c = 1,
+    # that is, unless n = s * nnz_per_row (the 1000 x 100 grid).
+    obj = glm_instance(n=n, d=d, seed=5)
+    x = np.sin(np.arange(float(d))) / d
+    M = obj.glm_square_root(x)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2
+    for kind in (CountSketch(s), LessUniform(s)):
+        kind = resolve_kind(kind, d)
+        S = sketch_matrix(kind, n, np.random.default_rng(11))
+        want = _gram(S @ M, obj.reg_nu)
+        est = estimate(kind, obj, x, np.random.default_rng(11))
+        if isinstance(kind, CountSketch) or n == s * kind.nnz_per_row:
+            assert np.array_equal(est, want), kind
+        else:
+            assert np.max(np.abs(est - want)) <= tol, kind
+
+
+def test_sparse_sketch_estimate_memory_is_bounded():
+    # The square root M would take A.nbytes (24.4 MiB); S @ A is s x d.
+    n, d, s = 8000, 400, 400
+    obj = glm_instance(n=n, d=d, seed=5)
+    x = np.sin(np.arange(float(d))) / d
+    m = obj.margins(x)
+    for kind in (CountSketch(s), LessUniform(s)):
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            estimate(kind, obj, x, rng, margins=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < obj.dataset.A.nbytes / 4, (kind, peak)
+
+
+def test_sparse_sketch_argument_is_not_modified():
+    obj = glm_instance(n=200, d=10, seed=5)
+    x = np.linspace(-1, 1, 10)
+    for kind in (CountSketch(20), LessUniform(20)):
+        kind = resolve_kind(kind, 10)
+        S = sketch_matrix(kind, 200, np.random.default_rng(4))
+        before = [a.copy() for a in (S.data, S.indices, S.indptr)]
+        est = estimate(kind, obj, x, None, sketch=S)
+        for a, b in zip(before, (S.data, S.indices, S.indptr)):
+            assert np.array_equal(a, b), kind
+        drawn = estimate(kind, obj, x, np.random.default_rng(4))
+        assert np.array_equal(est, drawn), kind
 
 
 def test_sparse_sketch_formats():

@@ -27,7 +27,9 @@ It prints one "<config> <what> <sha256>" line per digest, in six parts:
   x* and H*, and the gradient and the exact Hessian at three fixed points;
 * estimates: one estimate of each oracle kind at x_true with a fixed seed,
   on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
-  s = 1000, so that s*d lies on both sides of the Hessian's block.
+  s = 1000, so that s*d lies on both sides of the Hessian's block, and on
+  a low-coherence 1000 x 100 one with s = 100, the benchmark grid's shape,
+  where LESS's values are +-1 (n = s * nnz_per_row).
 
 The solves, diag and bench parts go through ``cli.main`` alone, so they read no
 record field or helper that a refactor may rename, and they run inside the
@@ -207,8 +209,9 @@ def reference_digests(config):
                                                 ).hexdigest()
 
 
-# (configuration, s): s*d is 1,800 and 300,000 values.
-ESTIMATES = [(CONFIGS[0], 60), (CONFIGS[4], 1000)]
+# (configuration, s): s*d is 1,800, 300,000 and 10,000 values.
+ESTIMATES = [(CONFIGS[0], 60), (CONFIGS[4], 1000),
+             (("low", 1000, 100, 10.0, 9), 100)]
 ESTIMATE_SEED = 12
 
 

@@ -12,19 +12,25 @@ constructions are provided:
 * ``GaussianSketch``, ``CountSketch`` and ``LessUniform`` compress the GLM
   square-root factor M = diag(r) A, r = sqrt(l/n) (with M^T M + nu I = H),
   through a random s x n matrix S with E[S^T S] = I, returning
-  (SM)^T (SM) + nu I.  Gaussian S is a dense ndarray applied to M.
-  CountSketch S (one nonzero per column) is a CSC array and LESS S
-  (nnz_per_row nonzeros per row) a CSR array; for these two, estimate
-  scales S's nonzeros by r and forms (S diag(r)) @ A, which costs
-  O(nnz(S) d) and never forms M.  CountSketch's values are +-1, so its
-  estimate equals the one from S @ M to the bit; LESS's do too when
-  n = s * nnz_per_row, and elsewhere they agree to about an ulp.
+  (SM)^T (SM) + nu I.  Only the Gaussian fallback below forms M.
 
-``estimate`` draws S itself unless the caller passes one as ``sketch=``.
-``solver.run`` does that for ``GaussianSketch``: it draws each next S with
-``sketch_matrix`` on a helper thread, from the run's one generator and in
-the same order, so the estimates do not change.  S does not depend on x,
-so it can be drawn before x is known.
+  CountSketch S (one nonzero per column) is a CSC array and LESS S
+  (nnz_per_row nonzeros per row) a CSR array; estimate scales S's
+  nonzeros by r and forms (S diag(r)) @ A, which costs O(nnz(S) d).
+  CountSketch's values are +-1, so its estimate equals the one from S @ M
+  to the bit; LESS's do too when n = s * nnz_per_row, and elsewhere they
+  agree to about an ulp.
+
+  The Gaussian estimate does not draw S itself.  S's rows are i.i.d.
+  N(0, I_n / s), so each row of S M is N(0, M^T M / s), which is also the
+  law of g R for g ~ N(0, I_d / s) and any R with R^T R = M^T M.  estimate
+  therefore forms M^T M blockwise from A and r, takes its upper Cholesky
+  factor R, and returns (G R)^T (G R) + nu I with G the s x d Gaussian
+  sketch: s d normals instead of s n, and exactly the law of the s x n
+  draw.  potrf is backward stable, so R^T R matches M^T M to rounding even
+  when M^T M is ill-conditioned.  Where potrf fails (M^T M not numerically
+  positive definite, as when n < d) it draws S at full width and returns
+  (S M)^T (S M) + nu I.
 
 ``noise_sample`` returns the noise norms of repeated draws at a fixed point
 (no solver path calls it), each from ``spectral_norm``: a full symmetric
@@ -36,8 +42,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .problem import _gram
+
+# The LAPACK Cholesky, resolved once: its Python wrapper in scipy.linalg
+# costs more than a d = 100 factorization.
+_potrf = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
 
 
 class CapabilityError(TypeError):
@@ -110,10 +121,10 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
     """Draw one s x n sketching matrix S with E[S^T S] = I.
 
     Each kind comes in the form that is cheapest to apply to a dense n x d
-    array: Gaussian S is a dense ndarray (S @ M costs O(s n d)); CountSketch
-    S is a CSC array with one nonzero per column and LESS S a CSR array with
-    nnz_per_row nonzeros per row, so ``estimate`` scales their nonzeros by
-    the root weights and applies them to A in O(nnz(S) d).
+    array: Gaussian S is a dense ndarray; CountSketch S is a CSC array with
+    one nonzero per column and LESS S a CSR array with nnz_per_row nonzeros
+    per row, so ``estimate`` scales their nonzeros by the root weights and
+    applies them to A in O(nnz(S) d).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -132,10 +143,13 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
             raise ValueError("nnz_per_row cannot exceed n")
         # Floyd's algorithm, run for all s rows at once: step j draws t
         # uniform in [0, j] and keeps it unless the row already holds t,
-        # in which case it keeps j.  Each row is a uniform k-subset.
+        # in which case it keeps j.  Each row is a uniform k-subset.  The
+        # k steps' draws come from one generator call, in the order of k
+        # calls of size s.
+        steps = rng.integers(0, np.arange(n - k + 1, n + 1)[:, None],
+                             size=(k, s))
         pos = np.empty((s, k), dtype=np.intp)
-        for c, j in enumerate(range(n - k, n)):
-            t = rng.integers(0, j + 1, size=s)
+        for c, (j, t) in enumerate(zip(range(n - k, n), steps)):
             taken = (pos[:, :c] == t[:, None]).any(axis=1)
             pos[:, c] = np.where(taken, j, t)
         signs = 2.0 * rng.integers(0, 2, size=(s, k)) - 1.0
@@ -145,13 +159,11 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
     raise CapabilityError("not a sketch kind: %r" % (kind,))
 
 
-def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
+def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
     """Draw one stochastic Hessian estimate at x: a symmetric d x d matrix.
 
     margins, when given, are ``obj.margins(x)``; the objective then skips
-    its own pass over the data.  sketch, when given, is the S of a sketch
-    kind, already drawn by ``sketch_matrix(kind, n, rng)``; rng is then not
-    used.
+    its own pass over the data.
     """
     kind = resolve_kind(kind, obj.dim)
     if isinstance(kind, Exact):
@@ -170,27 +182,30 @@ def estimate(kind, obj, x, rng, margins=None, sketch=None) -> np.ndarray:
         r = ds.A[idx]
         r *= l[:, None]
         return _gram(r, obj.reg_nu)
+    if not isinstance(kind, (GaussianSketch, CountSketch, LessUniform)):
+        raise CapabilityError("unknown oracle kind: %r" % (kind,))
+    _require_glm(obj, kind)
+    ds = obj.dataset
+    # The row weights r = sqrt(l/n) of M = diag(r) A.
+    r = obj.curvature_weights(x, margins=margins)
+    r /= ds.n
+    np.sqrt(r, out=r)
     if isinstance(kind, GaussianSketch):
-        _require_glm(obj, kind)
-        M = obj.glm_square_root(x, margins=margins)
-        if sketch is None:
-            sketch = sketch_matrix(kind, M.shape[0], rng)
-        return _gram(sketch @ M, obj.reg_nu)
-    if isinstance(kind, (CountSketch, LessUniform)):
-        _require_glm(obj, kind)
-        ds = obj.dataset
-        # S @ M = (S diag(r)) @ A with r = sqrt(l/n): scaling S's nonzeros
-        # by r forms no n x d array.  A caller's S is copied, not scaled.
-        sketch = (sketch_matrix(kind, ds.n, rng) if sketch is None
-                  else sketch.copy())
-        r = obj.curvature_weights(x, margins=margins)
-        r /= ds.n
-        np.sqrt(r, out=r)
-        # CountSketch (CSC) holds column j's one nonzero at data[j]; LESS
-        # (CSR) holds the nonzeros of column j wherever indices == j.
-        sketch.data *= r if isinstance(kind, CountSketch) else r[sketch.indices]
-        return _gram(sketch @ ds.A, obj.reg_nu)
-    raise CapabilityError("unknown oracle kind: %r" % (kind,))
+        # G R with R^T R = M^T M has the law of S M (module docstring).
+        # potrf reads M^T M's transpose, a Fortran-order array with its
+        # values by symmetry, in place; clean=1 zeroes R's lower triangle.
+        gram = _gram(ds.A, 0.0, r)
+        root, info = _potrf(gram.T, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            return _gram(sketch_matrix(kind, ds.d, rng) @ root, obj.reg_nu)
+        return _gram(sketch_matrix(kind, ds.n, rng)
+                     @ obj.glm_square_root(x, margins=margins), obj.reg_nu)
+    # S @ M = (S diag(r)) @ A: scaling S's nonzeros by r forms no n x d
+    # array.  CountSketch (CSC) holds column j's one nonzero at data[j];
+    # LESS (CSR) holds the nonzeros of column j wherever indices == j.
+    sketch = sketch_matrix(kind, ds.n, rng)
+    sketch.data *= r if isinstance(kind, CountSketch) else r[sketch.indices]
+    return _gram(sketch @ ds.A, obj.reg_nu)
 
 
 def spectral_norm(m: np.ndarray) -> float:

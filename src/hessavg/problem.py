@@ -3,9 +3,10 @@
 The solver and benchmarks work against a small objective contract: an
 objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
 ``hessian``.  Generalized linear objectives additionally expose
-``curvature_weights`` and ``glm_square_root``: the Gaussian sketch applies
-its S to the square-root Hessian M, and the sparse sketches scale their S by
-M's row weights sqrt(l/n) and apply it to A.
+``curvature_weights`` and ``glm_square_root``.  The sketches work from the
+row weights sqrt(l/n) of the square-root Hessian M = diag(sqrt(l/n)) A:
+the sparse ones scale their S by them and apply it to A, and the Gaussian
+one forms M^T M from them.  Only the Gaussian fallback forms M itself.
 
 ``margins(x)`` is the one pass over the data at x; it is linear in x.  Every
 evaluation accepts it as ``margins=`` and then skips that pass, so a caller

@@ -20,18 +20,9 @@ search ray, and the accepted trial's margins serve its value, its gradient
 and the next Hessian estimate.  An iteration makes one pass over the data
 for the search direction and one for the gradient, however many trials its
 search takes.
-
-A Gaussian-sketch run draws the next sketch S_{t+1} on one helper thread
-while iteration t runs on the calling thread.  numpy fills the normals
-without holding the GIL, so the draw overlaps the rest of the iteration.
-Every S comes from the run's one generator in the same order as before, so
-the records do not change; the one draw left over at the end is dropped.
-The sparse sketches are drawn inline: their draws hold the GIL, so a
-helper thread could not overlap them with the iteration.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,8 +31,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from ._blas import single_thread
 from .averaging import Uniform, initial_state, update
-from .oracles import (Exact, GaussianSketch, _require_glm, estimate,
-                      sketch_matrix)
+from .oracles import Exact, estimate
 from .problem import ReferenceSolution, _as_vector, hstar_error
 
 DEFAULT_BETA = 1e-4
@@ -209,43 +199,21 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
     every update) or after config.max_iter iterations.  An estimate with a
     non-finite entry is not folded in: the average and its weight index t
     stay as they were, so the next finite estimate takes that weight.
-
-    With a ``GaussianSketch`` oracle the run owns one helper thread that
-    draws each next S while the current iteration runs; it is closed
-    before the run returns or raises.
     """
     kind = config.oracle
     rng = np.random.default_rng([config.seed, 1])
     state = initial_state(obj.dim)
-    helper = ahead = None
-    if isinstance(kind, GaussianSketch):
-        _require_glm(obj, kind)
-        n = obj.dataset.n
-        # No thread starts before the first submit, after the check above.
-        helper = ThreadPoolExecutor(max_workers=1)
 
     def averaged_direction(x, g, margins):
         # The average is updated every iteration, skipped ones included;
         # only a non-finite estimate is left out.
-        nonlocal state, ahead
-        sketch = None
-        if helper is not None:
-            sketch = ahead.result()
-            ahead = helper.submit(sketch_matrix, kind, n, rng)
-        h = estimate(kind, obj, x, rng, margins=margins, sketch=sketch)
+        nonlocal state
+        h = estimate(kind, obj, x, rng, margins=margins)
         if np.isfinite(h).all():
             state = update(state, config.weights, h)
         return newton_direction(state.h_tilde, g)
 
-    try:
-        if helper is not None:
-            ahead = helper.submit(sketch_matrix, kind, n, rng)
-        return _descend(obj, x0, config, ref, averaged_direction)
-    finally:
-        # The draw made ahead for the iteration after the last one is
-        # dropped unread; shutdown waits for it, so no thread outlives run.
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
+    return _descend(obj, x0, config, ref, averaged_direction)
 
 
 @single_thread()

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.stats import chi2
+from scipy.stats import chi2, ks_2samp, norm
 
+from hessavg._blas import single_thread
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CapabilityError, CountSketch, Exact,
                              GaussianSketch, LessUniform,
                              Subsample, estimate, noise_sample, resolve_kind,
                              sketch_matrix, spectral_norm)
-from hessavg.problem import QuadraticTest, RegularizedLogistic, _gram
+from hessavg.problem import (Dataset, QuadraticTest, RegularizedLogistic,
+                             _gram)
 
 
 def dense(S):
@@ -193,18 +195,77 @@ def test_sparse_sketch_estimate_memory_is_bounded():
         assert peak < obj.dataset.A.nbytes / 4, (kind, peak)
 
 
-def test_sparse_sketch_argument_is_not_modified():
-    obj = glm_instance(n=200, d=10, seed=5)
-    x = np.linspace(-1, 1, 10)
-    for kind in (CountSketch(20), LessUniform(20)):
-        kind = resolve_kind(kind, 10)
-        S = sketch_matrix(kind, 200, np.random.default_rng(4))
-        before = [a.copy() for a in (S.data, S.indices, S.indptr)]
-        est = estimate(kind, obj, x, None, sketch=S)
-        for a, b in zip(before, (S.data, S.indices, S.indptr)):
-            assert np.array_equal(a, b), kind
-        drawn = estimate(kind, obj, x, np.random.default_rng(4))
-        assert np.array_equal(est, drawn), kind
+@single_thread()
+def test_gaussian_sketch_estimate_has_the_law_of_the_full_draw():
+    # estimate draws G R (s x d, R^T R = M^T M) in place of S M (s x n).
+    # Both must give one law of H_hat - H: the same law of its Frobenius
+    # norm (two-sample KS) and the same entrywise second moments.  Over the
+    # d(d+1)/2 = 5050 distinct entries, |difference| / standard error is
+    # held to 4.76, a two-sided 1% false alarm for all of them together
+    # (Bonferroni); the largest of 5050 normal deviates exceeds 4 about one
+    # time in four.  The mean is test_oracle_unbiasedness_monte_carlo's.
+    n, d, s, N = 1000, 100, 100, 2000
+    obj = glm_instance(n=n, d=d, seed=5)
+    x = np.sin(np.arange(float(d))) / d
+    m = obj.margins(x)
+    H, M = obj.hessian(x, margins=m), obj.glm_square_root(x)
+    kind = GaussianSketch(s)
+    routes = {
+        "estimate": lambda rng: estimate(kind, obj, x, rng, margins=m),
+        "S M": lambda rng: _gram(sketch_matrix(kind, n, rng) @ M,
+                                 obj.reg_nu)}
+    norms, moments = {}, {}
+    for seed, (route, draw) in enumerate(routes.items()):
+        rng = np.random.default_rng([31, seed])
+        norms[route] = np.empty(N)
+        acc2 = np.zeros((d, d))
+        acc4 = np.zeros((d, d))
+        for i in range(N):
+            e = draw(rng) - H
+            norms[route][i] = np.linalg.norm(e)
+            e *= e
+            acc2 += e
+            e *= e
+            acc4 += e
+        mean = acc2 / N
+        moments[route] = mean, np.maximum(acc4 / N - mean ** 2, 0.0) / N
+    p = ks_2samp(norms["estimate"], norms["S M"]).pvalue
+    (m1, v1), (m2, v2) = moments["estimate"], moments["S M"]
+    worst = float(np.max(np.abs(m1 - m2) / np.sqrt(v1 + v2)))
+    assert p > 0.01, p
+    assert worst <= norm.isf(0.005 / (d * (d + 1) // 2)), worst
+
+
+def test_gaussian_sketch_falls_back_to_the_full_draw():
+    # At n < d, M^T M is singular and potrf fails, so estimate draws S M
+    # itself, from the same stream.
+    n, d, s = 50, 80, 30
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.standard_normal((n, d)), rng.choice([-1, 1], size=n))
+    obj = RegularizedLogistic(ds, 1e-2)
+    x = np.cos(np.arange(float(d))) / d
+    kind = GaussianSketch(s)
+    want = _gram(sketch_matrix(kind, n, np.random.default_rng(4))
+                 @ obj.glm_square_root(x), obj.reg_nu)
+    est = estimate(kind, obj, x, np.random.default_rng(4))
+    assert np.array_equal(est, want)
+
+
+def test_gaussian_sketch_estimate_memory_is_bounded():
+    # The s x n sketch and the square root M would take 24.4 + 24.4 MiB;
+    # G R and M^T M are s x d and d x d, and M^T M is formed in blocks.
+    n, d, s = 8000, 400, 400
+    obj = glm_instance(n=n, d=d, seed=5)
+    x = np.sin(np.arange(float(d))) / d
+    m = obj.margins(x)
+    tracemalloc.start()
+    try:
+        estimate(GaussianSketch(s), obj, x, np.random.default_rng(3),
+                 margins=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < obj.dataset.A.nbytes / 4, peak
 
 
 def test_sparse_sketch_formats():

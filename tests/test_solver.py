@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hessavg import solver
@@ -255,10 +255,20 @@ class NaNValueQuadratic(QuadraticTest):
         return float("nan")
 
 
-@pytest.mark.parametrize("solve", ["run", "bfgs_run"])
-def test_nan_objective_value_stops_after_one_skipped_step(solve):
+@pytest.mark.parametrize("solve,start", [
+    pytest.param(solve, start,
+                 id=solve if start == 0 else "%s-start%d" % (solve, start))
+    for solve in ("run", "bfgs_run") for start in (0, 7, 60, 95)])
+def test_nan_objective_value_stops_after_one_skipped_step(solve, start,
+                                                         monkeypatch):
     obj, ref = quadratic_setup()
     obj = NaNValueQuadratic(obj.Q, obj.c)
+    line_search = solver.line_search
+
+    def started(*args, **kwargs):
+        return line_search(*args, **{**kwargs, "start": start})
+
+    monkeypatch.setattr(solver, "line_search", started)
     if solve == "run":
         config = SolverConfig(oracle=Exact(), weights=Uniform(), max_iter=20,
                               tol_hstar=1e-12, seed=0)
@@ -266,8 +276,9 @@ def test_nan_objective_value_stops_after_one_skipped_step(solve):
     else:
         result = bfgs_run(obj, np.zeros(6),
                           SolverConfig(max_iter=20, tol_hstar=1e-12), ref)
-    # NaN fails every Armijo comparison, so the search exhausts its 60
-    # halvings; the non-finite guard then ends the run after that record.
+    # NaN fails every Armijo comparison and is never a decisive rejection,
+    # so from any start the search exhausts its 60 halvings; the non-finite
+    # guard then ends the run after that record.
     assert len(result.records) == 1
     rec = result.records[0]
     assert rec.skipped
@@ -276,6 +287,81 @@ def test_nan_objective_value_stops_after_one_skipped_step(solve):
     assert not result.converged
     assert result.iterations_to_tol is None
     assert np.array_equal(result.final_x, np.zeros(6))
+
+
+def sequential_search(obj, x, p, beta, rho, f0, g0, m0):
+    """The Armijo scan from j = 0, kept as the reference for the warm start."""
+    slope = float(g0 @ p)
+    q = obj.margins(p)
+    mu = 1.0
+    for j in range(solver.MAX_BACKTRACKS + 1):
+        x_trial = p * mu
+        x_trial += x
+        m_trial = q * mu
+        m_trial += m0
+        f_trial = obj.value(x_trial, margins=m_trial)
+        if f_trial <= f0 + mu * beta * slope:
+            return solver.Step(mu, x_trial, f_trial, m_trial), j
+        mu *= rho
+    return None, solver.MAX_BACKTRACKS + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(20, 2000), d=st.integers(1, 40),
+       mode=st.sampled_from(["low", "high"]), seed=st.integers(0, 2 ** 32 - 1),
+       point=st.sampled_from(["zero", "x_star", "near_x_star", "far"]),
+       log_scale=st.floats(0.0, 3.0), start=st.integers(0, 60),
+       rho=st.sampled_from([solver.DEFAULT_RHO, 0.3, 0.8]))
+def test_warm_started_search_matches_the_scan_from_zero(
+        n, d, mode, seed, point, log_scale, start, rho):
+    ds, x_true = generate(DataGenConfig(n=n, d=min(d, n // 2),
+                                        coherence_mode=mode, kappa_A=10.0,
+                                        reg_nu=1e-3, seed=seed))
+    obj = RegularizedLogistic(ds, 1e-3)
+    ref = solve_reference(obj, np.zeros(ds.d))
+    x = {"zero": np.zeros(ds.d), "x_star": ref.x_star,
+         "near_x_star": ref.x_star + 1e-9 * x_true,
+         "far": ref.x_star + 3.0 * x_true}[point]
+    m = obj.margins(x)
+    f, g = obj.value(x, margins=m), obj.gradient(x, margins=m)
+    p = newton_direction(obj.hessian(x, margins=m), g)
+    assume(p is not None)
+    p *= 10.0 ** log_scale
+    expected, expected_j = sequential_search(obj, x, p, solver.DEFAULT_BETA,
+                                             rho, f, g, m)
+    step, j = solver.line_search(obj, x, p, solver.DEFAULT_BETA, rho,
+                                 f0=f, g0=g, m0=m, start=start)
+    assert j == expected_j
+    if expected is None:
+        assert step is None
+        return
+    assert step.mu == expected.mu
+    assert step.x.tobytes() == expected.x.tobytes()
+    assert step.f == expected.f
+    assert step.margins.tobytes() == expected.margins.tobytes()
+
+
+def test_noavg_run_warm_starts_its_searches(monkeypatch):
+    """A noavg run's searches start near the last j, not at 0."""
+    ds, _ = generate(DataGenConfig(n=400, d=40, coherence_mode="low",
+                                   kappa_A=40.0, reg_nu=1e-3, seed=3))
+    obj = RegularizedLogistic(ds, 1e-3)
+    ref = solve_reference(obj, np.zeros(40))
+    config = SolverConfig(oracle=Subsample(40), weights=LastOnly(),
+                          tol_hstar=1e-6, seed=5)
+    calls = []
+    value = obj.value
+
+    def counted(x, margins=None):
+        calls.append(1)
+        return value(x, margins=margins)
+
+    monkeypatch.setattr(obj, "value", counted)
+    result = run(obj, np.zeros(40), config, ref)
+    scanned = sum(r.backtracks + 1 for r in result.records if not r.skipped)
+    assert result.converged and scanned > 4 * len(result.records)
+    # One value at x0, then the trials: about half of the scan's 5.5 a step.
+    assert len(calls) - 1 < 0.6 * scanned
 
 
 def test_ratio_diagnostics():

@@ -10,7 +10,7 @@ process, and prints only the lines that moved, as a unified diff without
 context (``-`` OTHER_TREE, ``+`` this tree).  It exits 0 when no line moved
 and 1 otherwise.
 
-It prints one "<config> <what> <sha256>" line per digest, in six parts:
+It prints one "<config> <what> <sha256>" line per digest, in seven parts:
 
 * datasets: for each configuration in CONFIGS, the bytes of ``generate``'s
   A, b and x_true, the dataset CSV and binary that
@@ -18,7 +18,9 @@ It prints one "<config> <what> <sha256>" line per digest, in six parts:
   the three files ``hessavg generate`` writes (.csv, .bin, .json);
 * solves: on one small dataset, for each oracle x variant, the trace CSV
   and the JSON summary of ``hessavg solve``, and the ``hessavg rates`` CSV
-  of that trace;
+  of that trace; then the trace and summary of one subsample solve per
+  variant at ``--tol 0 --max-iter 150``, which runs on into the float64
+  floor, where Armijo trials tie with f(x) to within rounding;
 * diag: the report JSON and the curve CSV of ``hessavg diag`` for uniform,
   power and logpower weights;
 * bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
@@ -29,7 +31,12 @@ It prints one "<config> <what> <sha256>" line per digest, in six parts:
   on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
   s = 1000, so that s*d lies on both sides of the Hessian's block, and on
   a low-coherence 1000 x 100 one with s = 100, the benchmark grid's shape,
-  where LESS's values are +-1 (n = s * nnz_per_row).
+  where LESS's values are +-1 (n = s * nnz_per_row);
+* line search: on that 1000 x 100 configuration, ``solver.line_search``'s
+  accepted mu, x, f, margins and j for one direction that needs j* > 0
+  backtracks, searched from start 0, j* - 1 and j* + 3.  A tree whose
+  ``line_search`` takes no ``start`` searches from 0 each time, so these
+  lines say that a warm start returns the scan's step.
 
 The solves, diag and bench parts go through ``cli.main`` alone, so they read no
 record field or helper that a refactor may rename, and they run inside the
@@ -52,6 +59,7 @@ import argparse
 import contextlib
 import difflib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -64,7 +72,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from hessavg import bench, cli, oracles, problem  # noqa: E402
+from hessavg import bench, cli, oracles, problem, solver  # noqa: E402
 from hessavg.datagen import DataGenConfig, generate  # noqa: E402
 
 # (coherence, n, d, kappa of A, seed)
@@ -168,6 +176,14 @@ def solve_digests():
             yield what + ".trace", sha256_file("trace.csv")
             yield what + ".summary", sha256_text(summary)
             yield what + ".rates", sha256_file("rates.csv")
+    for variant in VARIANTS:
+        what = "subsample-%s-tol0" % variant
+        summary = run_cli(["solve", "--data", "solve.bin",
+                           "--oracle", "subsample", "--s", SOLVE_S,
+                           "--variant", variant, "--seed", "3", "--tol", "0",
+                           "--max-iter", "150", "--trace-out", "trace.csv"])
+        yield what + ".trace", sha256_file("trace.csv")
+        yield what + ".summary", sha256_text(summary)
 
 
 def diag_digests():
@@ -225,6 +241,38 @@ def estimate_digests(config, s):
         yield "estimate." + name, hashlib.sha256(est.tobytes()).hexdigest()
 
 
+# The line search's configuration, and how far its direction overshoots:
+# 32 times the Newton step at 0, which the search cuts back to j* = 4.
+LINE_SEARCH_CONFIG = ESTIMATES[2][0]
+LINE_SEARCH_SCALE = 32.0
+
+
+def line_search_digests(config):
+    """One search from three starts: its step and j, as one digest each."""
+    ds, _ = generate_config(*config)
+    obj = problem.RegularizedLogistic(ds, REG_NU)
+    x = np.zeros(ds.d)
+    m = obj.margins(x)
+    f, g = obj.value(x, margins=m), obj.gradient(x, margins=m)
+    p = LINE_SEARCH_SCALE * solver.newton_direction(
+        obj.hessian(x, margins=m), g)
+    warm = "start" in inspect.signature(solver.line_search).parameters
+
+    def search(start):
+        kwargs = dict(f0=f, g0=g, m0=m)
+        if warm:
+            kwargs["start"] = start
+        return solver.line_search(obj, x, p, **kwargs)
+
+    _, j_star = search(0)
+    for label, start in (("0", 0), ("j*-1", j_star - 1), ("j*+3", j_star + 3)):
+        step, j = search(start)
+        h = hashlib.sha256(np.float64(step.mu).tobytes())
+        for part in (step.x, np.float64(step.f), step.margins, np.int64(j)):
+            h.update(part.tobytes())
+        yield "line_search.start%s" % label, h.hexdigest()
+
+
 def diff(other_tree):
     """Print the lines that moved from other_tree's digests to this tree's."""
     outputs = []
@@ -267,6 +315,8 @@ def main():
         for what, digest in estimate_digests(config, s):
             print("%s-s%d" % (config_name(*config), s), what, digest,
                   flush=True)
+    for what, digest in line_search_digests(LINE_SEARCH_CONFIG):
+        print(config_name(*LINE_SEARCH_CONFIG), what, digest, flush=True)
     return 0
 
 

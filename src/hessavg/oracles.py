@@ -110,7 +110,7 @@ def resolve_kind(kind, d: int):
 
 
 def _require_glm(obj, kind):
-    if not hasattr(obj, "glm_square_root") or not hasattr(obj, "dataset"):
+    if not hasattr(obj, "root_weights") or not hasattr(obj, "dataset"):
         raise CapabilityError(
             "%s oracle needs a GLM objective exposing per-row structure"
             % type(kind).__name__
@@ -187,9 +187,7 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
     _require_glm(obj, kind)
     ds = obj.dataset
     # The row weights r = sqrt(l/n) of M = diag(r) A.
-    r = obj.curvature_weights(x, margins=margins)
-    r /= ds.n
-    np.sqrt(r, out=r)
+    r = obj.root_weights(x, margins)
     if isinstance(kind, GaussianSketch):
         # G R with R^T R = M^T M has the law of S M (module docstring).
         # potrf reads M^T M's transpose, a Fortran-order array with its

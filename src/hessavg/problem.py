@@ -3,10 +3,11 @@
 The solver and benchmarks work against a small objective contract: an
 objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
 ``hessian``.  Generalized linear objectives additionally expose
-``curvature_weights`` and ``glm_square_root``.  The sketches work from the
-row weights sqrt(l/n) of the square-root Hessian M = diag(sqrt(l/n)) A:
-the sparse ones scale their S by them and apply it to A, and the Gaussian
-one forms M^T M from them.  Only the Gaussian fallback forms M itself.
+``curvature_weights``, ``root_weights`` and ``glm_square_root``.  The
+sketches work from ``root_weights``, the row weights sqrt(l/n) of the
+square-root Hessian M = diag(sqrt(l/n)) A: the sparse ones scale their S
+by them and apply it to A, and the Gaussian one forms M^T M from them.
+Only the Gaussian fallback forms M itself.
 
 ``margins(x)`` is the one pass over the data at x; it is linear in x.  Every
 evaluation accepts it as ``margins=`` and then skips that pass, so a caller
@@ -210,7 +211,7 @@ class RegularizedLogistic(Objective):
         l /= den
         return np.minimum(l, 0.25, out=l)
 
-    def _root_weights(self, x, margins):
+    def root_weights(self, x, margins):
         """sqrt(l/n), the row scales of glm_square_root."""
         l = self.curvature_weights(x, margins)
         l /= self.dataset.n
@@ -221,7 +222,7 @@ class RegularizedLogistic(Objective):
 
         An n x d array, as large as A; hessian never forms it whole.
         """
-        return self._root_weights(x, margins)[:, None] * self.dataset.A
+        return self.root_weights(x, margins)[:, None] * self.dataset.A
 
     def hessian(self, x, margins=None) -> np.ndarray:
         """_gram(glm_square_root(x), reg_nu), without forming M whole.
@@ -231,7 +232,7 @@ class RegularizedLogistic(Objective):
         _gram(glm_square_root(x), reg_nu) to the bit at every size.
         """
         return _gram(self.dataset.A, self.reg_nu,
-                     self._root_weights(x, margins))
+                     self.root_weights(x, margins))
 
 
 class QuadraticTest(Objective):

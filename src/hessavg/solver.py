@@ -143,57 +143,40 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     forms q = margins(p) once and each trial's margins are m0 + mu q: a
     trial costs O(n), not a pass over the data.
 
-    ``start`` is the first j to try.  f is convex along the ray, so the
-    excess of f over the Armijo line is convex and zero at mu = 0, and the
-    accepted j are all those from the smallest one on.  The search walks
-    down from an accepted start while the trial below is accepted, and up
-    from a rejected one.  A rejection rules out every smaller j only when
-    its excess is decisive (``_decisive``); on a near-tie the search
-    rescans from j = 0.  So every start returns the j, mu and trial of the
-    scan from 0, to the bit.
+    ``start`` is the first j to try, clamped into [0, 60].  f is convex
+    along the ray, so the excess of f over the Armijo line is convex and
+    zero at mu = 0, and the accepted j are all those from the smallest one
+    on.  The search holds lo, below which every j is rejected, and best,
+    the smallest j accepted so far (at hi).  An accepted trial walks down
+    one j; a rejection at lo, or one whose excess is decisive
+    (``_decisive``), rules out every j up to its own; a near-tie rejection
+    elsewhere rescans from lo.  It stops once lo reaches hi, so every start
+    returns the j, mu and trial of the scan from 0, to the bit.
     """
     slope = float(g0 @ p)
     q = obj.margins(p)
-    lo, mu = 0, 1.0
-    j = min(start, MAX_BACKTRACKS)
-    if j > 0:
-        # The trial of the scan at the end, which keeps it inline: a call
-        # and a Step per trial cost about 1 us, 6% of a trial at n = 1000.
-        def trial(mu):
-            x_trial = p * mu
-            x_trial += x
-            m_trial = q * mu
-            m_trial += m0
-            return (Step(mu, x_trial, obj.value(x_trial, margins=m_trial),
-                         m_trial), f0 + mu * beta * slope)
-
-        # mu_j by repeated multiplication, as the scan from 0 forms it.
-        mus = [1.0]
-        for _ in range(j):
+    # mu_j by repeated multiplication, as the scan from 0 forms it.
+    mus = [1.0]
+    lo, hi, best = 0, MAX_BACKTRACKS + 1, None
+    j = min(max(start, 0), MAX_BACKTRACKS)
+    while lo < hi:
+        while len(mus) <= j:
             mus.append(mus[-1] * rho_backtrack)
-        step, bound = trial(mus[j])
-        if step.f <= bound:
-            while j > 0:
-                below, bound = trial(mus[j - 1])
-                if not below.f <= bound:
-                    break
-                step, j = below, j - 1
-            if j == 0 or _decisive(below.f, bound, f0):
-                return step, j
-        elif _decisive(step.f, bound, f0):
-            lo, mu = j + 1, mus[j] * rho_backtrack
-    # The scan, from j = 0 unless a decisive rejection ruled out those below.
-    for j in range(lo, MAX_BACKTRACKS + 1):
+        mu = mus[j]
         # x + mu p and m0 + mu q, summed in place of a second temporary.
         x_trial = p * mu
         x_trial += x
         m_trial = q * mu
         m_trial += m0
         f_trial = obj.value(x_trial, margins=m_trial)
-        if f_trial <= f0 + mu * beta * slope:
-            return Step(mu, x_trial, f_trial, m_trial), j
-        mu *= rho_backtrack
-    return None, MAX_BACKTRACKS + 1
+        bound = f0 + mu * beta * slope
+        if f_trial <= bound:
+            best, hi, j = Step(mu, x_trial, f_trial, m_trial), j, j - 1
+        elif j == lo or _decisive(f_trial, bound, f0):
+            lo = j = j + 1
+        else:
+            j = lo
+    return best, hi
 
 
 def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,

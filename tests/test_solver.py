@@ -310,7 +310,7 @@ def sequential_search(obj, x, p, beta, rho, f0, g0, m0):
 @given(n=st.integers(20, 2000), d=st.integers(1, 40),
        mode=st.sampled_from(["low", "high"]), seed=st.integers(0, 2 ** 32 - 1),
        point=st.sampled_from(["zero", "x_star", "near_x_star", "far"]),
-       log_scale=st.floats(0.0, 3.0), start=st.integers(0, 60),
+       log_scale=st.floats(0.0, 3.0), start=st.integers(-3, 70),
        rho=st.sampled_from([solver.DEFAULT_RHO, 0.3, 0.8]))
 def test_warm_started_search_matches_the_scan_from_zero(
         n, d, mode, seed, point, log_scale, start, rho):
@@ -339,6 +339,49 @@ def test_warm_started_search_matches_the_scan_from_zero(
     assert step.x.tobytes() == expected.x.tobytes()
     assert step.f == expected.f
     assert step.margins.tobytes() == expected.margins.tobytes()
+
+
+class ArmijoTable:
+    """f along the ray x = mu from 0, at f0 = 1 with slope -1: the Armijo
+    bound at mu_j = 0.5^j plus excess[j] (0 for a j not listed)."""
+
+    def __init__(self, excess):
+        self.excess = excess
+        self.calls = 0
+
+    def bound(self, j):
+        return 1.0 + 0.5 ** j * solver.DEFAULT_BETA * -1.0
+
+    def margins(self, x):
+        return x.copy()
+
+    def value(self, x, margins=None):
+        self.calls += 1
+        j = round(-np.log2(x[0]))
+        return self.bound(j) + self.excess.get(j, 0.0)
+
+
+def test_near_tie_rescan_returns_the_step_it_holds():
+    """Start 3 is accepted, j = 2 is a near-tie and j = 0, 1 are decisive
+    rejections: the rescan from 0 stops at the step it holds at j = 3."""
+    obj = ArmijoTable({0: 1.0, 1: 1.0, 2: 1e-14})
+    f = [obj.value(np.array([0.5 ** j])) for j in range(3)]
+    assert [solver._decisive(f[j], obj.bound(j), 1.0) for j in range(3)] == [
+        True, True, False]
+    assert f[2] > obj.bound(2)
+    x, p, m0, g0 = np.zeros(1), np.ones(1), np.zeros(1), -np.ones(1)
+    expected, expected_j = sequential_search(obj, x, p, solver.DEFAULT_BETA,
+                                             0.5, 1.0, g0, m0)
+    obj.calls = 0
+    step, j = solver.line_search(obj, x, p, solver.DEFAULT_BETA, 0.5,
+                                 f0=1.0, g0=g0, m0=m0, start=3)
+    assert j == expected_j == 3
+    assert step.mu == expected.mu
+    assert step.x.tobytes() == expected.x.tobytes()
+    assert step.f == expected.f
+    assert step.margins.tobytes() == expected.margins.tobytes()
+    # Trials 3, 2, then the rescan's 0, 1 and 2, which meets lo = 3.
+    assert obj.calls == 5
 
 
 def test_noavg_run_warm_starts_its_searches(monkeypatch):

@@ -8,20 +8,28 @@ imports the package from its tree's ``src/`` (this file's code times both
 trees, so only the package differs), runs at one BLAS thread, sets up a
 low-coherence dataset with kappa_A = d and reg_nu = 1e-3, and times each
 layer over a fixed number of calls after three warm-up calls: 301 at
-1000 x 100 with s = 100, and 21 at 8000 x 400 with s = 400.  The worker's
-result for a layer is the median of its calls.
+1000 x 100 with s = 100, and 21 at 8000 x 400 with s = 400.
+``solve_reference``, which takes about 5 ms and 0.4 s at these sizes, is
+timed over 31 and 5 calls.  The worker's result for a layer is the median
+of its calls.
 
 The layers are ``estimate`` of each oracle kind at x*, ``_gram`` of an
 s x d matrix, ``update`` (uniform weights), ``newton_direction``,
-``hstar_error``, ``value``, ``gradient`` and ``curvature_weights``, and
-three line searches from x = 0 along the exact Newton direction p there:
+``hstar_error``, ``value``, ``gradient``, ``curvature_weights`` and
+``solve_reference`` from x = 0 (a damped Newton solve that searches from
+j = 0 at every step), and four line searches from x = 0 along the exact
+Newton direction p there:
 
 * ``line_search.unit``: p itself, accepted at j = 0;
 * ``line_search.backtrack.start0``: 2^7 p, which takes j* = 5 at both
   sizes, searched from j = 0;
 * ``line_search.backtrack.warm``: 2^7 p, searched from j* - 1, where the
-  solver loop starts after a step that took j*.  A tree whose
-  ``line_search`` takes no ``start`` scans from 0 here too.
+  solver loop starts after a step that took j*: it walks up;
+* ``line_search.backtrack.above``: 2^7 p, searched from j* + 2: it walks
+  down to j* and stops at the decisive rejection below.
+
+A tree whose ``line_search`` takes no ``start`` scans from 0 in the last
+two as well.
 
 The script prints one JSON object.  For each size and layer it gives each
 side's median, quartiles and IQR over the workers' results, the workers'
@@ -41,8 +49,9 @@ import time
 
 import numpy as np
 
-# (n, d, s, timed calls per layer)
-SIZES = {"1000x100": (1000, 100, 100, 301), "8000x400": (8000, 400, 400, 21)}
+# (n, d, s, timed calls per layer, timed calls of solve_reference)
+SIZES = {"1000x100": (1000, 100, 100, 301, 31),
+         "8000x400": (8000, 400, 400, 21, 5)}
 WARMUP = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ORACLES = ("exact", "subsample", "gauss", "countsketch", "less")
@@ -55,7 +64,7 @@ def worker(tree, size):
     from hessavg import averaging, bench, oracles, problem, solver
     from hessavg.datagen import DataGenConfig, generate
 
-    n, d, s, calls = SIZES[size]
+    n, d, s, calls, solve_calls = SIZES[size]
     ds, _ = generate(DataGenConfig(n=n, d=d, coherence_mode="low",
                                    kappa_A=float(d), reg_nu=1e-3, seed=5))
     obj = problem.RegularizedLogistic(ds, 1e-3)
@@ -94,17 +103,19 @@ def worker(tree, size):
         "line_search.unit": lambda: search(p),
         "line_search.backtrack.start0": lambda: search(far),
         "line_search.backtrack.warm": lambda: search(far, j_far - 1),
+        "line_search.backtrack.above": lambda: search(far, j_far + 2),
         "hstar_error": lambda: problem.hstar_error(x, ref),
         "value": lambda: obj.value(x, margins=m),
         "gradient": lambda: obj.gradient(x, margins=m),
         "curvature_weights": lambda: obj.curvature_weights(x, margins=m),
+        "solve_reference": lambda: problem.solve_reference(obj, x0),
     })
     medians = {}
     for name, call in layers.items():
         for _ in range(WARMUP):
             call()
         times = []
-        for _ in range(calls):
+        for _ in range(solve_calls if name == "solve_reference" else calls):
             t0 = time.perf_counter_ns()
             call()
             times.append(time.perf_counter_ns() - t0)
@@ -113,7 +124,7 @@ def worker(tree, size):
     counts = {}
     value = obj.value
     for name in ("line_search.unit", "line_search.backtrack.start0",
-                 "line_search.backtrack.warm"):
+                 "line_search.backtrack.warm", "line_search.backtrack.above"):
         made = []
         obj.value = lambda *a, **k: made.append(1) or value(*a, **k)
         _, j = layers[name]()
@@ -152,8 +163,9 @@ def compare(parent, change, pairs):
     report = {"how": {
         "pairs": pairs,
         "blas_threads": 1, "warmup_calls": WARMUP,
-        "sizes": {size: {"n": n, "d": d, "s": s, "calls": calls}
-                  for size, (n, d, s, calls) in SIZES.items()},
+        "sizes": {size: {"n": n, "d": d, "s": s, "calls": calls,
+                         "solve_reference_calls": solve_calls}
+                  for size, (n, d, s, calls, solve_calls) in SIZES.items()},
         "first_side": ["parent" if i % 2 == 0 else "change"
                        for i in range(pairs)]}}
     for size, sides in results.items():

@@ -33,8 +33,13 @@ It prints one "<config> <what> <sha256>" line per digest, in seven parts:
   a low-coherence 1000 x 100 one with s = 100, the benchmark grid's shape,
   where LESS's values are +-1 (n = s * nnz_per_row);
 * line search: on that 1000 x 100 configuration, ``solver.line_search``'s
-  accepted mu, x, f, margins and j for one direction that needs j* > 0
-  backtracks, searched from start 0, j* - 1 and j* + 3.  A tree whose
+  accepted mu, x, f, margins and j for one direction from x = 0 that needs
+  j* = 4 backtracks, searched from start 0, j* - 1 and j* + 3, and for the
+  Newton direction at the near-tie point x* + 1e-9 x_true, searched from
+  start 0, j* + 3 and j* + 6.  There j* = 0 and every trial ties f(x) to
+  within rounding: from j* + 3 the start's trial is rejected by less than
+  the decisive margin, and from j* + 6 the start is accepted and the trial
+  below it is; each search then rescans from j = 0.  A tree whose
   ``line_search`` takes no ``start`` searches from 0 each time, so these
   lines say that a warm start returns the scan's step.
 
@@ -241,36 +246,44 @@ def estimate_digests(config, s):
         yield "estimate." + name, hashlib.sha256(est.tobytes()).hexdigest()
 
 
-# The line search's configuration, and how far its direction overshoots:
-# 32 times the Newton step at 0, which the search cuts back to j* = 4.
+# The line search's configuration, and its two search rays.  At x = 0 the
+# direction is 32 times the Newton step, which the search cuts back to
+# j* = 4.  At the near-tie point x* + 1e-9 x_true it is the Newton step,
+# whose trials all tie f(x) to within rounding.
 LINE_SEARCH_CONFIG = ESTIMATES[2][0]
 LINE_SEARCH_SCALE = 32.0
+NEAR_TIE_OFFSET = 1e-9
 
 
 def line_search_digests(config):
-    """One search from three starts: its step and j, as one digest each."""
-    ds, _ = generate_config(*config)
+    """Each ray searched from several starts: step and j, one digest each."""
+    ds, x_true = generate_config(*config)
     obj = problem.RegularizedLogistic(ds, REG_NU)
-    x = np.zeros(ds.d)
-    m = obj.margins(x)
-    f, g = obj.value(x, margins=m), obj.gradient(x, margins=m)
-    p = LINE_SEARCH_SCALE * solver.newton_direction(
-        obj.hessian(x, margins=m), g)
+    x_star = problem.solve_reference(obj, np.zeros(ds.d)).x_star
     warm = "start" in inspect.signature(solver.line_search).parameters
+    rays = (("line_search", np.zeros(ds.d), LINE_SEARCH_SCALE, (-1, 3)),
+            ("line_search.near_tie", x_star + NEAR_TIE_OFFSET * x_true, 1.0,
+             (3, 6)))
+    for name, x, scale, offsets in rays:
+        m = obj.margins(x)
+        f, g = obj.value(x, margins=m), obj.gradient(x, margins=m)
+        p = scale * solver.newton_direction(obj.hessian(x, margins=m), g)
 
-    def search(start):
-        kwargs = dict(f0=f, g0=g, m0=m)
-        if warm:
-            kwargs["start"] = start
-        return solver.line_search(obj, x, p, **kwargs)
+        def search(start):
+            kwargs = dict(f0=f, g0=g, m0=m)
+            if warm:
+                kwargs["start"] = start
+            return solver.line_search(obj, x, p, **kwargs)
 
-    _, j_star = search(0)
-    for label, start in (("0", 0), ("j*-1", j_star - 1), ("j*+3", j_star + 3)):
-        step, j = search(start)
-        h = hashlib.sha256(np.float64(step.mu).tobytes())
-        for part in (step.x, np.float64(step.f), step.margins, np.int64(j)):
-            h.update(part.tobytes())
-        yield "line_search.start%s" % label, h.hexdigest()
+        _, j_star = search(0)
+        starts = [("0", 0)] + [("j*%+d" % k, j_star + k) for k in offsets]
+        for label, start in starts:
+            step, j = search(start)
+            h = hashlib.sha256(np.float64(step.mu).tobytes())
+            for part in (step.x, np.float64(step.f), step.margins,
+                         np.int64(j)):
+                h.update(part.tobytes())
+            yield "%s.start%s" % (name, label), h.hexdigest()
 
 
 def diff(other_tree):

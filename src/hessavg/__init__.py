@@ -3,8 +3,8 @@
 The package is organized around the pipeline of a randomized second-order
 experiment:
 
-- ``problem``: objective contract, regularized logistic regression, quadratic
-  test objective, float64-certified reference solutions and H*-error.
+- ``problem``: objective contract, regularized logistic regression,
+  float64-certified reference solutions and H*-error.
 - ``datagen``: synthetic logistic instances with controlled coherence and
   condition number.
 - ``oracles``: stochastic Hessian estimators (subsampling and three sketches)

@@ -235,44 +235,6 @@ class RegularizedLogistic(Objective):
                      self.root_weights(x, margins))
 
 
-class QuadraticTest(Objective):
-    """f(x) = (1/2) x^T Q x - c^T x with SPD Q; exact Newton solves it in one step."""
-
-    def __init__(self, Q: np.ndarray, c: np.ndarray):
-        Q = np.asarray(Q, dtype=float)
-        c = np.asarray(c, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be square")
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q must be exactly symmetric")
-        # Positive definiteness check; Cholesky raises on failure.
-        np.linalg.cholesky(Q)
-        if c.shape != (Q.shape[0],):
-            raise ValueError("c must match Q")
-        self.Q = Q
-        self.c = c
-
-    @property
-    def dim(self) -> int:
-        return self.Q.shape[0]
-
-    def margins(self, x) -> np.ndarray:
-        """x itself: the identity is linear, and no evaluation reads it."""
-        return _as_vector(x, self.dim)
-
-    def value(self, x, margins=None) -> float:
-        x = _as_vector(x, self.dim)
-        return 0.5 * float(x @ self.Q @ x) - float(self.c @ x)
-
-    def gradient(self, x, margins=None) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        return self.Q @ x - self.c
-
-    def hessian(self, x, margins=None) -> np.ndarray:
-        _as_vector(x, self.dim)
-        return self.Q.copy()
-
-
 @dataclass
 class ReferenceSolution:
     """Minimizer x*, certified by its float64 gradient, and H* there."""
@@ -285,44 +247,45 @@ class ReferenceSolution:
 def solve_reference(obj: Objective, x0) -> ReferenceSolution:
     """Damped Newton to ||grad f|| <= 1e-13, then full Newton steps.
 
-    Uses the same direction/line-search primitives as the stochastic solver
-    (exact Hessian, Armijo with the default beta and rho), so the stochastic
-    solver with an exact oracle and no averaging reproduces these iterates.
-
-    The main loop carries the line search's margins from step to step and
-    stops at the tolerance, after 200 iterations, or at the rounding floor,
-    where its gradient norm stops halving below 1e-8.  Up to 20 full Newton
-    steps follow, on the gradient at fresh margins, until it meets the
-    tolerance, the Newton system fails or x stops changing.  x* is certified
-    by that gradient: RuntimeError is raised unless it meets the tolerance.
-    On data scaled far up, float64 rounding keeps it above (see the README).
-    RuntimeError is also raised when reg_nu = 0 and x* separates the data:
-    then f has no minimizer.
+    The damped phase is the stochastic solver's loop (``solver._descend``)
+    with the exact Hessian's direction and Armijo with the default beta and
+    rho, so the stochastic solver with an exact oracle and no averaging
+    reproduces these iterates.  It runs unless x0 already meets the
+    tolerance, and stops at the tolerance, after 200 iterations, or at the
+    rounding floor, where its gradient norm stops halving below 1e-8.  Up to
+    20 full Newton steps follow, on the gradient at fresh margins, until it
+    meets the tolerance, the Newton system fails or x stops changing.  x* is
+    certified by that gradient: RuntimeError is raised unless it meets the
+    tolerance.  On data scaled far up, float64 rounding keeps it above (see
+    the README).  RuntimeError is also raised when reg_nu = 0 and x*
+    separates the data: then f has no minimizer.
     """
-    from .solver import DEFAULT_BETA, DEFAULT_RHO, line_search, newton_direction
+    from .solver import SolverConfig, _descend, newton_direction
 
-    x = _as_vector(x0, obj.dim).copy()
-    m = obj.margins(x)
-    f = obj.value(x, margins=m)
-    g = obj.gradient(x, margins=m)
-    prev_norm = np.inf
-    for _ in range(REF_MAX_ITER):
-        g_norm = math.sqrt(float(g @ g))
-        if g_norm <= REF_GRAD_TOL:
-            break
-        if g_norm <= 1e-8 and g_norm >= 0.5 * prev_norm:
-            break  # float64 rounding floor reached; full steps take over
-        prev_norm = g_norm
-        p = newton_direction(obj.hessian(x, margins=m), g)
+    def exact_direction(x, g, margins):
+        p = newton_direction(obj.hessian(x, margins=margins), g)
         if p is None:
             raise RuntimeError("reference solve: Newton system not solvable "
                                "(objective not strongly convex?)")
-        step, _ = line_search(obj, x, p, DEFAULT_BETA, DEFAULT_RHO,
-                              f0=f, g0=g, m0=m)
-        if step is None:
+        return p
+
+    def stop(x, g, skipped):
+        nonlocal prev_norm
+        if skipped:
             raise RuntimeError("reference solve: line search failed")
-        x, f, m = step.x, step.f, step.margins
-        g = obj.gradient(x, margins=m)
+        g_norm = math.sqrt(float(g @ g))
+        # Below 1e-8 a norm that stops halving is float64's rounding floor;
+        # the full steps take over there.
+        done = g_norm <= REF_GRAD_TOL or 0.5 * prev_norm <= g_norm <= 1e-8
+        prev_norm = g_norm
+        return g_norm, done
+
+    x = _as_vector(x0, obj.dim).copy()
+    g = obj.gradient(x)
+    prev_norm = math.sqrt(float(g @ g))
+    if prev_norm > REF_GRAD_TOL:
+        x = _descend(obj, x, SolverConfig(max_iter=REF_MAX_ITER),
+                     exact_direction, stop).final_x
     m = obj.margins(x)
     g = obj.gradient(x, margins=m)
     for _ in range(20):

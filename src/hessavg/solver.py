@@ -12,8 +12,8 @@ Cholesky factorization, when the solved direction is not a descent
 direction, or when Armijo backtracking fails within the cap.
 
 ``bfgs_run`` provides a deterministic quasi-Newton baseline.  Both solvers
-run one shared loop, so they have the same line search, records, stopping
-rule and non-finite guard; they differ only in how they pick a direction.
+and ``problem.solve_reference`` run one shared loop, with one line search,
+records and non-finite guard; each picks its own direction and stop rule.
 
 Each point is evaluated once: the line search moves the margins along the
 search ray, and the accepted trial's margins serve its value, its gradient
@@ -179,14 +179,15 @@ def line_search(obj, x, p, beta: float = DEFAULT_BETA,
     return best, hi
 
 
-def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
-             direction, on_step=None) -> RunResult:
-    """The loop shared by ``run`` and ``bfgs_run``.
+def _descend(obj, x0, config: SolverConfig, direction, stop,
+             on_step=None) -> RunResult:
+    """The damped Newton loop of ``run``, ``bfgs_run`` and ``solve_reference``.
 
     direction(x, g, margins) gives a step or None (skip); on_step(s, y)
-    sees each accepted step s and its gradient change y.  Stops at
-    H*-error <= config.tol_hstar, after config.max_iter iterations, or
-    once f or x is non-finite.
+    sees each accepted step s and its gradient change y.  After every
+    iteration stop(x, g, skipped) gives the error to record and whether to
+    stop.  The loop also ends after config.max_iter iterations, or once f
+    or x is non-finite.
     """
     x = _as_vector(x0, obj.dim).copy()
     m_cur = obj.margins(x)
@@ -210,16 +211,24 @@ def _descend(obj, x0, config: SolverConfig, ref: ReferenceSolution,
                 if on_step is not None:
                     on_step(step.x - x, g_new - g_cur)
                 x, f_cur, g_cur, m_cur = step.x, step.f, g_new, step.margins
-        err = hstar_error(x, ref)
+        err, done = stop(x, g_cur, skipped)
         records.append(IterationRecord(
             t=t, f=f_cur, grad_norm=math.sqrt(float(g_cur @ g_cur)),
             hstar_error=err, stepsize=stepsize, skipped=skipped,
             backtracks=backtracks))
         if not (math.isfinite(f_cur) and np.isfinite(x).all()):
             break
-        if err <= config.tol_hstar:
+        if done:
             return RunResult(records, True, t + 1, x)
     return RunResult(records, False, None, x)
+
+
+def _hstar_stop(ref: ReferenceSolution, tol: float):
+    """The stop rule of ``run`` and ``bfgs_run``: H*-error <= tol."""
+    def stop(x, g, skipped):
+        err = hstar_error(x, ref)
+        return err, err <= tol
+    return stop
 
 
 @single_thread()
@@ -244,7 +253,8 @@ def run(obj, x0, config: SolverConfig, ref: ReferenceSolution) -> RunResult:
             state = update(state, config.weights, h)
         return newton_direction(state.h_tilde, g)
 
-    return _descend(obj, x0, config, ref, averaged_direction)
+    return _descend(obj, x0, config, averaged_direction,
+                    _hstar_stop(ref, config.tol_hstar))
 
 
 @single_thread()
@@ -274,5 +284,5 @@ def bfgs_run(obj, x0, config: SolverConfig, ref: ReferenceSolution
                      + ((sy + float(y @ hy)) * rho_sy ** 2) * np.outer(s, s)
                      - rho_sy * (np.outer(hy, s) + np.outer(s, hy)))
 
-    return _descend(obj, x0, config, ref, quasi_newton_direction,
-                    on_step=inverse_update)
+    return _descend(obj, x0, config, quasi_newton_direction,
+                    _hstar_stop(ref, config.tol_hstar), on_step=inverse_update)

@@ -23,9 +23,10 @@ from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CountSketch, Exact, GaussianSketch, LessUniform,
                              Subsample, estimate, sketch_matrix,
                              spectral_norm)
-from hessavg.problem import (QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, solve_reference)
+from hessavg.problem import (ReferenceSolution, RegularizedLogistic,
+                             solve_reference)
 from hessavg.solver import SolverConfig, run
+from objectives import QuadraticTest
 
 JOBS = int(os.environ.get("HESSAVG_JOBS", "4"))
 

@@ -7,9 +7,10 @@ from hessavg import _blas
 from hessavg.averaging import LastOnly, LogPower
 from hessavg.datagen import COHERENCE_MODES, DataGenConfig, generate
 from hessavg.oracles import Exact, GaussianSketch
-from hessavg.problem import (QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, solve_reference)
+from hessavg.problem import (ReferenceSolution, RegularizedLogistic,
+                             solve_reference)
 from hessavg.solver import SolverConfig, run
+from objectives import QuadraticTest
 
 
 def thread_counts():

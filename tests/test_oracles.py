@@ -14,8 +14,8 @@ from hessavg.oracles import (CapabilityError, CountSketch, Exact,
                              GaussianSketch, LessUniform,
                              Subsample, estimate, noise_sample, resolve_kind,
                              sketch_matrix, spectral_norm)
-from hessavg.problem import (Dataset, QuadraticTest, RegularizedLogistic,
-                             _gram)
+from hessavg.problem import Dataset, RegularizedLogistic, _gram
+from objectives import QuadraticTest
 
 
 def dense(S):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from hessavg import problem, solver
 from hessavg.datagen import DataGenConfig, generate
-from hessavg.problem import (REF_GRAD_TOL, Dataset, QuadraticTest,
-                             ReferenceSolution, RegularizedLogistic,
-                             hstar_error, solve_reference)
+from hessavg.problem import (REF_GRAD_TOL, Dataset, ReferenceSolution,
+                             RegularizedLogistic, hstar_error,
+                             solve_reference)
+from objectives import QuadraticTest
 
 # Pinned 3x2 instance; reference values computed independently with mpmath
 # at 50 digits and rounded to the nearest double.
@@ -386,6 +387,34 @@ def test_reference_stops_at_the_rounding_floor(monkeypatch):
     ref = solve_reference(obj, np.zeros(100))
     assert len(calls) <= 20
     assert np.linalg.norm(obj.gradient(ref.x_star)) <= REF_GRAD_TOL
+
+
+@pytest.mark.parametrize("name, result, match", [
+    ("newton_direction", None, "Newton system not solvable"),
+    ("line_search", (None, 60), "line search failed")],
+    ids=["newton_direction", "line_search"])
+def test_reference_damped_phase_raises(monkeypatch, name, result, match):
+    # The damped phase resolves both from solver at call time.
+    monkeypatch.setattr(solver, name, lambda *args, **kwargs: result)
+    with pytest.raises(RuntimeError, match=match):
+        solve_reference(small_instance(), np.zeros(9))
+
+
+def test_reference_from_a_certified_start_takes_no_step(monkeypatch):
+    obj = small_instance()
+    ref = solve_reference(obj, np.zeros(9))
+    calls = []
+    newton_direction = solver.newton_direction
+
+    def counted(*args):
+        calls.append(args)
+        return newton_direction(*args)
+
+    monkeypatch.setattr(solver, "newton_direction", counted)
+    again = solve_reference(obj, ref.x_star)
+    assert np.array_equal(again.x_star, ref.x_star)
+    assert np.array_equal(again.h_star, ref.h_star)
+    assert calls == []
 
 
 def test_reference_raises_where_float64_cannot_certify():

@@ -16,9 +16,10 @@ from hessavg.bench import ratio_series
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CountSketch, Exact, GaussianSketch,
                              LessUniform, Subsample)
-from hessavg.problem import (QuadraticTest, ReferenceSolution,
-                             RegularizedLogistic, solve_reference)
+from hessavg.problem import (ReferenceSolution, RegularizedLogistic,
+                             solve_reference)
 from hessavg.solver import SolverConfig, bfgs_run, newton_direction, run
+from objectives import QuadraticTest
 
 
 def quadratic_setup():

@@ -16,9 +16,10 @@ of its calls.
 The layers are ``estimate`` of each oracle kind at x*, ``_gram`` of an
 s x d matrix, ``update`` (uniform weights), ``newton_direction``,
 ``hstar_error``, ``value``, ``gradient``, ``curvature_weights`` and
-``solve_reference`` from x = 0 (a damped Newton solve that searches from
-j = 0 at every step), and four line searches from x = 0 along the exact
-Newton direction p there:
+``solve_reference`` from x = 0 (a damped Newton solve through the solver's
+loop, whose searches warm-start as the solver's do; a tree where the
+reference solve runs its own loop searches from j = 0 at every step), and
+four line searches from x = 0 along the exact Newton direction p there:
 
 * ``line_search.unit``: p itself, accepted at j = 0;
 * ``line_search.backtrack.start0``: 2^7 p, which takes j* = 5 at both

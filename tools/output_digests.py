@@ -26,7 +26,11 @@ It prints one "<config> <what> <sha256>" line per digest, in seven parts:
 * bench: the CSV and JSON of ``hessavg bench`` on a tiny grid with BFGS, at
   ``--jobs 1`` and ``--jobs 2``;
 * reference solves: for each configuration in CONFIGS, ``solve_reference``'s
-  x* and H*, and the gradient and the exact Hessian at three fixed points;
+  x* and H* from x = 0, 4 x_true and 30 x_true (from the last two the
+  damped phase backtracks, and its warm-started searches start above
+  j = 0), and the gradient and the exact Hessian at three fixed points;
+  then x* and H* from x = 0 on a 1000 x 100 dataset whose damped phase
+  stops at the float64 rounding floor;
 * estimates: one estimate of each oracle kind at x_true with a fixed seed,
   on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
   s = 1000, so that s*d lies on both sides of the Hessian's block, and on
@@ -213,13 +217,27 @@ def bench_digests():
         yield "jobs%s.json" % jobs, sha256_file("table.json")
 
 
+def solution_digests(obj, x0, what):
+    """x* and H* of ``solve_reference`` from x0."""
+    ref = problem.solve_reference(obj, x0)
+    yield what + ".x_star", hashlib.sha256(ref.x_star.tobytes()).hexdigest()
+    yield what + ".h_star", hashlib.sha256(ref.h_star.tobytes()).hexdigest()
+
+
+# Besides x = 0, the reference solves start at these multiples of x_true,
+# from where the damped phase backtracks (up to j = 5 in one search).
+REFERENCE_STARTS = (4.0, 30.0)
+
+
 def reference_digests(config):
-    """x*, H*, and the gradients and Hessians at three points of one config."""
+    """x* and H* from three starts, and the gradients and Hessians at three
+    points, of one config."""
     ds, x_true = generate_config(*config)
     obj = problem.RegularizedLogistic(ds, REG_NU)
-    ref = problem.solve_reference(obj, np.zeros(ds.d))
-    yield "reference.x_star", hashlib.sha256(ref.x_star.tobytes()).hexdigest()
-    yield "reference.h_star", hashlib.sha256(ref.h_star.tobytes()).hexdigest()
+    yield from solution_digests(obj, np.zeros(ds.d), "reference")
+    for scale in REFERENCE_STARTS:
+        yield from solution_digests(obj, scale * x_true,
+                                    "reference.%gx_true" % scale)
     points = (("zero", np.zeros(ds.d)), ("x_true", x_true),
               ("4x_true", 4.0 * x_true))
     for what, x in points:
@@ -228,6 +246,11 @@ def reference_digests(config):
     for what, x in points:
         yield "hessian." + what, hashlib.sha256(obj.hessian(x).tobytes()
                                                 ).hexdigest()
+
+
+# A perfbench grid dataset whose damped phase stalls at ||grad f|| = 3.4e-9
+# and stops at the rounding floor.
+ROUNDING_FLOOR_CONFIG = ("low", 1000, 100, 100.0, 176337296440474)
 
 
 # (configuration, s): s*d is 1,800, 300,000 and 10,000 values.
@@ -324,6 +347,11 @@ def main():
     for config in CONFIGS:
         for what, digest in reference_digests(config):
             print(config_name(*config), what, digest, flush=True)
+    ds, _ = generate_config(*ROUNDING_FLOOR_CONFIG)
+    for what, digest in solution_digests(
+            problem.RegularizedLogistic(ds, REG_NU), np.zeros(ds.d),
+            "reference"):
+        print(config_name(*ROUNDING_FLOOR_CONFIG), what, digest, flush=True)
     for config, s in ESTIMATES:
         for what, digest in estimate_digests(config, s):
             print("%s-s%d" % (config_name(*config), s), what, digest,

@@ -12,25 +12,24 @@ constructions are provided:
 * ``GaussianSketch``, ``CountSketch`` and ``LessUniform`` compress the GLM
   square-root factor M = diag(r) A, r = sqrt(l/n) (with M^T M + nu I = H),
   through a random s x n matrix S with E[S^T S] = I, returning
-  (SM)^T (SM) + nu I.  Only the Gaussian fallback below forms M.
+  (SM)^T (SM) + nu I.  ``sketch_matrix`` draws S for the matrix it
+  multiplies, and LESS reads its default density from that matrix's width.
 
   CountSketch S (one nonzero per column) is a CSC array and LESS S
-  (nnz_per_row nonzeros per row) a CSR array; estimate scales S's
-  nonzeros by r and forms (S diag(r)) @ A, which costs O(nnz(S) d).
-  CountSketch's values are +-1, so its estimate equals the one from S @ M
-  to the bit; LESS's do too when n = s * nnz_per_row, and elsewhere they
-  agree to about an ulp.
+  (nnz_per_row nonzeros per row) a CSR array; estimate draws them for A,
+  scales S's nonzeros by r and forms (S diag(r)) @ A, which costs
+  O(nnz(S) d).  CountSketch's values are +-1, so its estimate equals the
+  one from S @ M to the bit; LESS's do too when n = s * nnz_per_row, and
+  elsewhere they agree to about an ulp.
 
-  The Gaussian estimate does not draw S itself.  S's rows are i.i.d.
-  N(0, I_n / s), so each row of S M is N(0, M^T M / s), which is also the
-  law of g R for g ~ N(0, I_d / s) and any R with R^T R = M^T M.  estimate
-  therefore forms M^T M blockwise from A and r, takes its upper Cholesky
-  factor R, and returns (G R)^T (G R) + nu I with G the s x d Gaussian
-  sketch: s d normals instead of s n, and exactly the law of the s x n
-  draw.  potrf is backward stable, so R^T R matches M^T M to rounding even
-  when M^T M is ill-conditioned.  Where potrf fails (M^T M not numerically
-  positive definite, as when n < d) it draws S at full width and returns
-  (S M)^T (S M) + nu I.
+  The Gaussian estimate draws S for R with R^T R = M^T M.  S's rows are
+  i.i.d. N(0, I / s), so each row of S R is N(0, M^T M / s) whatever R's
+  row count: S R has the law of S M.  estimate forms M^T M blockwise from
+  A and r and takes its upper Cholesky factor, a d x d R: s d normals
+  instead of s n.  potrf is backward stable, so R^T R matches M^T M to
+  rounding even when M^T M is ill-conditioned.  Where potrf fails (M^T M
+  not numerically positive definite, as when n < d or two columns of A
+  are equal), R is M itself, the one place M is formed, and S is s x n.
 
 ``noise_sample`` returns the noise norms of repeated draws at a fixed point
 (no solver path calls it), each from ``spectral_norm``: a full symmetric
@@ -38,17 +37,12 @@ eigendecomposition, so it is exact at any d.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import get_lapack_funcs
 
-from .problem import _gram
-
-# The LAPACK Cholesky, resolved once: its Python wrapper in scipy.linalg
-# costs more than a d = 100 factorization.
-_potrf = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
+from .problem import _gram, _potrf
 
 
 class CapabilityError(TypeError):
@@ -90,8 +84,8 @@ class LessUniform(_Sized):
 
     Each of the s rows carries nnz_per_row nonzeros at distinct uniform
     positions with values +-sqrt(n/(s*nnz_per_row)), the unique scaling
-    giving E[S^T S] = I.  When nnz_per_row is None it is resolved to
-    ceil(0.1*d) at estimation time.
+    giving E[S^T S] = I.  When nnz_per_row is None it is ceil(0.1*d), with
+    d the width of the n x d matrix that S multiplies.
     """
 
     nnz_per_row: int | None = None
@@ -102,30 +96,18 @@ class LessUniform(_Sized):
             raise ValueError("nnz_per_row must be >= 1")
 
 
-def resolve_kind(kind, d: int):
-    """Fill in kind defaults that depend on the problem dimension."""
-    if isinstance(kind, LessUniform) and kind.nnz_per_row is None:
-        return replace(kind, nnz_per_row=max(1, math.ceil(0.1 * d)))
-    return kind
-
-
-def _require_glm(obj, kind):
-    if not hasattr(obj, "root_weights") or not hasattr(obj, "dataset"):
-        raise CapabilityError(
-            "%s oracle needs a GLM objective exposing per-row structure"
-            % type(kind).__name__
-        )
-
-
-def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
+def sketch_matrix(kind, shape, rng) -> "np.ndarray | sparse.sparray":
     """Draw one s x n sketching matrix S with E[S^T S] = I.
 
-    Each kind comes in the form that is cheapest to apply to a dense n x d
-    array: Gaussian S is a dense ndarray; CountSketch S is a CSC array with
-    one nonzero per column and LESS S a CSR array with nnz_per_row nonzeros
-    per row, so ``estimate`` scales their nonzeros by the root weights and
-    applies them to A in O(nnz(S) d).
+    shape is the (n, d) of the matrix that S multiplies; LESS reads its
+    default nnz_per_row, ceil(0.1*d), from d.  Each kind comes in the form
+    that is cheapest to apply to a dense n x d array: Gaussian S is a
+    dense ndarray; CountSketch S is a CSC array with one nonzero per column
+    and LESS S a CSR array with nnz_per_row nonzeros per row, so
+    ``estimate`` scales their nonzeros by the root weights and applies them
+    to A in O(nnz(S) d).
     """
+    n, d = shape
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(kind, GaussianSketch):
@@ -136,9 +118,7 @@ def sketch_matrix(kind, n: int, rng) -> "np.ndarray | sparse.sparray":
         return sparse.csc_array((signs, rows, np.arange(n + 1)),
                                 shape=(kind.s, n))
     if isinstance(kind, LessUniform):
-        s, k = kind.s, kind.nnz_per_row
-        if k is None:
-            raise ValueError("nnz_per_row is unresolved; use resolve_kind")
+        s, k = kind.s, kind.nnz_per_row or max(1, math.ceil(0.1 * d))
         if k > n:
             raise ValueError("nnz_per_row cannot exceed n")
         # Floyd's algorithm, run for all s rows at once: step j draws t
@@ -165,12 +145,16 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
     margins, when given, are ``obj.margins(x)``; the objective then skips
     its own pass over the data.
     """
-    kind = resolve_kind(kind, obj.dim)
     if isinstance(kind, Exact):
         return obj.hessian(x, margins=margins)
+    if not isinstance(kind, _Sized):
+        raise CapabilityError("unknown oracle kind: %r" % (kind,))
+    if not hasattr(obj, "root_weights") or not hasattr(obj, "dataset"):
+        raise CapabilityError(
+            "%s oracle needs a GLM objective exposing per-row structure"
+            % type(kind).__name__)
+    ds = obj.dataset
     if isinstance(kind, Subsample):
-        _require_glm(obj, kind)
-        ds = obj.dataset
         if kind.s > ds.n:
             raise ValueError("subsample size s exceeds the number of rows")
         idx = np.sort(rng.choice(ds.n, size=kind.s, replace=False))
@@ -182,26 +166,21 @@ def estimate(kind, obj, x, rng, margins=None) -> np.ndarray:
         r = ds.A[idx]
         r *= l[:, None]
         return _gram(r, obj.reg_nu)
-    if not isinstance(kind, (GaussianSketch, CountSketch, LessUniform)):
-        raise CapabilityError("unknown oracle kind: %r" % (kind,))
-    _require_glm(obj, kind)
-    ds = obj.dataset
     # The row weights r = sqrt(l/n) of M = diag(r) A.
     r = obj.root_weights(x, margins)
     if isinstance(kind, GaussianSketch):
-        # G R with R^T R = M^T M has the law of S M (module docstring).
+        # S R with R^T R = M^T M has the law of S M (module docstring).
         # potrf reads M^T M's transpose, a Fortran-order array with its
         # values by symmetry, in place; clean=1 zeroes R's lower triangle.
-        gram = _gram(ds.A, 0.0, r)
-        root, info = _potrf(gram.T, lower=0, clean=1, overwrite_a=1)
-        if info == 0:
-            return _gram(sketch_matrix(kind, ds.d, rng) @ root, obj.reg_nu)
-        return _gram(sketch_matrix(kind, ds.n, rng)
-                     @ obj.glm_square_root(x, margins=margins), obj.reg_nu)
+        root, info = _potrf(_gram(ds.A, 0.0, r).T, lower=0, clean=1,
+                            overwrite_a=1)
+        if info != 0:
+            root = obj.glm_square_root(x, margins=margins)
+        return _gram(sketch_matrix(kind, root.shape, rng) @ root, obj.reg_nu)
     # S @ M = (S diag(r)) @ A: scaling S's nonzeros by r forms no n x d
     # array.  CountSketch (CSC) holds column j's one nonzero at data[j];
     # LESS (CSR) holds the nonzeros of column j wherever indices == j.
-    sketch = sketch_matrix(kind, ds.n, rng)
+    sketch = sketch_matrix(kind, ds.A.shape, rng)
     sketch.data *= r if isinstance(kind, CountSketch) else r[sketch.indices]
     return _gram(sketch @ ds.A, obj.reg_nu)
 

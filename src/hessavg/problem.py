@@ -7,7 +7,7 @@ objective exposes ``dim``, ``margins``, ``value``, ``gradient`` and
 sketches work from ``root_weights``, the row weights sqrt(l/n) of the
 square-root Hessian M = diag(sqrt(l/n)) A: the sparse ones scale their S
 by them and apply it to A, and the Gaussian one forms M^T M from them.
-Only the Gaussian fallback forms M itself.
+Only the Gaussian estimate, where potrf fails on M^T M, forms M itself.
 
 ``margins(x)`` is the one pass over the data at x; it is linear in x.  Every
 evaluation accepts it as ``margins=`` and then skips that pass, so a caller
@@ -26,6 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ._blas import single_thread
 
@@ -109,6 +110,10 @@ class Objective(ABC):
 # against 38.3 ms for the one-shot product, which takes 24 MiB more (medians
 # of 41, one BLAS thread, 2-vCPU Xeon VM).
 _HESSIAN_BLOCK = 1 << 18
+
+# LAPACK potrf/potrs, resolved once for newton_direction and the Gaussian
+# estimate: scipy's Python wrappers cost more than a d = 100 factorization.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _gram(r: np.ndarray, nu: float, w=None) -> np.ndarray:

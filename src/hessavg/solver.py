@@ -28,22 +28,17 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from ._blas import single_thread
 from .averaging import Uniform, initial_state, update
 from .oracles import Exact, estimate
-from .problem import ReferenceSolution, _as_vector, hstar_error
+from .problem import ReferenceSolution, _as_vector, _potrf, _potrs, hstar_error
 
 DEFAULT_BETA = 1e-4
 DEFAULT_RHO = 0.5
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 999
 MAX_BACKTRACKS = 60
-
-# The LAPACK routines behind scipy's cho_factor/cho_solve, resolved once:
-# their Python wrappers cost more than a d = 100 factorization.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def check_armijo(beta: float, rho: float) -> None:

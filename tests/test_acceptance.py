@@ -230,7 +230,7 @@ def test_criterion_7_property_suites(tmp_path):
         acc = np.zeros((n, n))
         acc2 = np.zeros((n, n))
         for _ in range(N):
-            S = sketch_matrix(kind, n, rng)
+            S = sketch_matrix(kind, (n, n), rng)
             if sparse.issparse(S):
                 S = S.toarray()
             sts = S.T @ S

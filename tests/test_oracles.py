@@ -12,9 +12,9 @@ from hessavg._blas import single_thread
 from hessavg.datagen import DataGenConfig, generate
 from hessavg.oracles import (CapabilityError, CountSketch, Exact,
                              GaussianSketch, LessUniform,
-                             Subsample, estimate, noise_sample, resolve_kind,
+                             Subsample, estimate, noise_sample,
                              sketch_matrix, spectral_norm)
-from hessavg.problem import Dataset, RegularizedLogistic, _gram
+from hessavg.problem import Dataset, RegularizedLogistic, _gram, _potrf
 from objectives import QuadraticTest
 
 
@@ -88,7 +88,7 @@ def test_sketch_isometry_monte_carlo():
         acc = np.zeros((n, n))
         acc2 = np.zeros((n, n))
         for _ in range(N):
-            S = dense(sketch_matrix(kind, n, rng))
+            S = dense(sketch_matrix(kind, (n, n), rng))
             sts = S.T @ S
             acc += sts
             acc2 += sts * sts
@@ -104,7 +104,7 @@ def test_sketch_isometry_monte_carlo():
 
 def test_countsketch_structure():
     rng = np.random.default_rng(2)
-    S = sketch_matrix(CountSketch(6), 25, rng).toarray()
+    S = sketch_matrix(CountSketch(6), (25, 25), rng).toarray()
     assert S.shape == (6, 25)
     nnz_per_col = np.count_nonzero(S, axis=0)
     assert np.all(nnz_per_col == 1)
@@ -115,7 +115,7 @@ def test_countsketch_structure():
 def test_less_row_structure():
     n, s, k = 30, 5, 4
     rng = np.random.default_rng(8)
-    S = sketch_matrix(LessUniform(s, k), n, rng).toarray()
+    S = sketch_matrix(LessUniform(s, k), (n, n), rng).toarray()
     assert S.shape == (s, n)
     mag = math.sqrt(n / (s * k))
     for row in S:
@@ -135,7 +135,7 @@ def test_less_row_structure():
      "98a485cb18e5bbc2e8053c29198ef5407cdc0f750347bf2092ae10fcbffff3b7"),
 ], ids=["gauss", "countsketch", "less"])
 def test_sketch_streams_are_pinned(kind, digest):
-    S = dense(sketch_matrix(kind, 50, np.random.default_rng(0)))
+    S = dense(sketch_matrix(kind, (50, 50), np.random.default_rng(0)))
     assert hashlib.sha256(S.tobytes()).hexdigest() == digest
 
 
@@ -149,7 +149,7 @@ def test_sparse_sketch_estimates_match_dense_products():
     tol = 8 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2
     for kind in (CountSketch(s), LessUniform(s)):
         est = estimate(kind, obj, x, np.random.default_rng(11))
-        S = sketch_matrix(resolve_kind(kind, d), n, np.random.default_rng(11))
+        S = sketch_matrix(kind, (n, d), np.random.default_rng(11))
         Sd = S.toarray()
         expected = M.T @ Sd.T @ Sd @ M + obj.reg_nu * np.eye(d)
         assert np.max(np.abs(est - expected)) <= tol, kind
@@ -162,17 +162,17 @@ def test_sparse_sketch_estimates_equal_square_root_products(n, d, s):
     # The sparse kinds apply S diag(sqrt(l/n)) to A instead of S to M.
     # CountSketch's +-1 times r_j is exact, so the estimate is
     # _gram(S @ M) to the bit.  LESS's +-c times r_j rounds unless c = 1,
-    # that is, unless n = s * nnz_per_row (the 1000 x 100 grid).
+    # that is, unless n = s * nnz_per_row = nnz(S) (the 1000 x 100 grid);
+    # CountSketch has nnz(S) = n always.
     obj = glm_instance(n=n, d=d, seed=5)
     x = np.sin(np.arange(float(d))) / d
     M = obj.glm_square_root(x)
     tol = 8 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2
     for kind in (CountSketch(s), LessUniform(s)):
-        kind = resolve_kind(kind, d)
-        S = sketch_matrix(kind, n, np.random.default_rng(11))
+        S = sketch_matrix(kind, (n, d), np.random.default_rng(11))
         want = _gram(S @ M, obj.reg_nu)
         est = estimate(kind, obj, x, np.random.default_rng(11))
-        if isinstance(kind, CountSketch) or n == s * kind.nnz_per_row:
+        if n == S.nnz:
             assert np.array_equal(est, want), kind
         else:
             assert np.max(np.abs(est - want)) <= tol, kind
@@ -212,7 +212,7 @@ def test_gaussian_sketch_estimate_has_the_law_of_the_full_draw():
     kind = GaussianSketch(s)
     routes = {
         "estimate": lambda rng: estimate(kind, obj, x, rng, margins=m),
-        "S M": lambda rng: _gram(sketch_matrix(kind, n, rng) @ M,
+        "S M": lambda rng: _gram(sketch_matrix(kind, M.shape, rng) @ M,
                                  obj.reg_nu)}
     norms, moments = {}, {}
     for seed, (route, draw) in enumerate(routes.items()):
@@ -237,18 +237,26 @@ def test_gaussian_sketch_estimate_has_the_law_of_the_full_draw():
 
 
 def test_gaussian_sketch_falls_back_to_the_full_draw():
-    # At n < d, M^T M is singular and potrf fails, so estimate draws S M
-    # itself, from the same stream.
-    n, d, s = 50, 80, 30
-    rng = np.random.default_rng(12)
-    ds = Dataset(rng.standard_normal((n, d)), rng.choice([-1, 1], size=n))
-    obj = RegularizedLogistic(ds, 1e-2)
-    x = np.cos(np.arange(float(d))) / d
-    kind = GaussianSketch(s)
-    want = _gram(sketch_matrix(kind, n, np.random.default_rng(4))
-                 @ obj.glm_square_root(x), obj.reg_nu)
-    est = estimate(kind, obj, x, np.random.default_rng(4))
-    assert np.array_equal(est, want)
+    # M^T M is singular at n < d, and at n >= d when column 7 of A equals
+    # column 2: potrf fails on it, so R is M itself and estimate draws S M
+    # from the same stream.
+    for n, d, seed, equal_columns, info in ((50, 80, 12, False, 51),
+                                            (60, 12, 2, True, 8)):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d))
+        if equal_columns:
+            A[:, 7] = A[:, 2]
+        obj = RegularizedLogistic(Dataset(A, rng.choice([-1, 1], size=n)),
+                                  1e-2)
+        x = np.cos(np.arange(float(d))) / d
+        gram = _gram(A, 0.0, obj.root_weights(x, None))
+        assert _potrf(gram.T, lower=0, clean=1, overwrite_a=1)[1] == info
+        M = obj.glm_square_root(x)
+        kind = GaussianSketch(30)
+        want = _gram(sketch_matrix(kind, M.shape, np.random.default_rng(4))
+                     @ M, obj.reg_nu)
+        est = estimate(kind, obj, x, np.random.default_rng(4))
+        assert np.array_equal(est, want), (n, d)
 
 
 def test_gaussian_sketch_estimate_memory_is_bounded():
@@ -270,9 +278,9 @@ def test_gaussian_sketch_estimate_memory_is_bounded():
 
 def test_sparse_sketch_formats():
     # CountSketch is applied column-wise and LESS row-wise.
-    S = sketch_matrix(CountSketch(6), 25, np.random.default_rng(1))
+    S = sketch_matrix(CountSketch(6), (25, 25), np.random.default_rng(1))
     assert S.format == "csc" and S.nnz == 25
-    S = sketch_matrix(LessUniform(6, 4), 25, np.random.default_rng(1))
+    S = sketch_matrix(LessUniform(6, 4), (25, 25), np.random.default_rng(1))
     assert S.format == "csr" and S.nnz == 24
 
 
@@ -282,7 +290,8 @@ def test_less_rows_hold_k_distinct_positions_property(n, s, data):
     k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)),
                   label="k")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    S = sketch_matrix(LessUniform(s, k), n, np.random.default_rng(seed))
+    S = sketch_matrix(LessUniform(s, k), (n, n),
+                     np.random.default_rng(seed))
     pos = np.sort(S.indices.reshape(s, k), axis=1)
     assert np.all((pos >= 0) & (pos < n))
     assert np.all(np.diff(pos, axis=1) > 0)
@@ -299,7 +308,7 @@ def test_less_positions_are_uniform_chi_square():
     n, s, k, draws = 20, 5, 4, 20_000
     rng = np.random.default_rng(2024)
     rows = np.concatenate([
-        sketch_matrix(LessUniform(s, k), n, rng).indices.reshape(s, k)
+        sketch_matrix(LessUniform(s, k), (n, n), rng).indices.reshape(s, k)
         for _ in range(draws)])
     cols = np.bincount(rows.ravel(), minlength=n)
     expected = rows.shape[0] * k / n
@@ -316,16 +325,20 @@ def test_less_positions_are_uniform_chi_square():
 
 
 def test_less_default_density():
-    resolved = resolve_kind(LessUniform(5), 30)
-    assert resolved.nnz_per_row == max(1, math.ceil(0.1 * 30))
-    explicit = resolve_kind(LessUniform(5, 7), 30)
-    assert explicit.nnz_per_row == 7
+    # ceil(0.1 * d) nonzeros per row for an n x d matrix, whatever n; an
+    # explicit nnz_per_row holds at any d.
+    for kind, shape, k in ((LessUniform(5), (30, 30), 3),
+                           (LessUniform(5), (30, 45), 5),
+                           (LessUniform(5), (100, 5), 1),
+                           (LessUniform(5, 7), (30, 45), 7)):
+        S = sketch_matrix(kind, shape, np.random.default_rng(0))
+        assert S.shape == (5, shape[0]) and S.nnz == 5 * k, (kind, shape)
 
 
 def test_gaussian_entry_scale():
     rng = np.random.default_rng(6)
     s, n = 200, 300
-    S = sketch_matrix(GaussianSketch(s), n, rng)
+    S = sketch_matrix(GaussianSketch(s), (n, n), rng)
     flat = S.ravel() * math.sqrt(s)
     se_mean = 1.0 / math.sqrt(flat.size)
     assert abs(flat.mean()) <= 4.0 * se_mean

@@ -429,6 +429,22 @@ def test_reference_raises_where_float64_cannot_certify():
         solve_reference(obj, np.zeros(100))
 
 
+def test_reference_from_far_starts_certifies_or_raises():
+    # From 10^18 x_true (f = 4e32) the margins carried along the search ray
+    # lose their digits to cancellation: the damped phase stops where the
+    # carried gradient reads 7e-16 and the fresh one 0.34, and the solve
+    # raises instead of returning that x.  From 10^15 x_true it certifies.
+    cfg = DataGenConfig(n=300, d=30, coherence_mode="low", kappa_A=30.0,
+                        reg_nu=1e-3, seed=1)
+    ds, x_true = generate(cfg)
+    obj = RegularizedLogistic(ds, 1e-3)
+    ref = solve_reference(obj, 1e15 * x_true)
+    assert np.linalg.norm(obj.gradient(ref.x_star)) <= REF_GRAD_TOL
+    with pytest.raises(RuntimeError, match=r"final \|\|grad f\|\| = \S+ is "
+                       r"above the tolerance 1e-13$"):
+        solve_reference(obj, 1e18 * x_true)
+
+
 @pytest.mark.parametrize("n, d", [(40, 5), (1000, 20)])
 def test_reference_raises_on_separable_data_without_regularizer(n, d):
     # f tends to 0 along a separating direction and has no minimizer; the

@@ -10,7 +10,7 @@ process, and prints only the lines that moved, as a unified diff without
 context (``-`` OTHER_TREE, ``+`` this tree).  It exits 0 when no line moved
 and 1 otherwise.
 
-It prints one "<config> <what> <sha256>" line per digest, in seven parts:
+It prints one "<config> <what> <sha256>" line per digest, in eight parts:
 
 * datasets: for each configuration in CONFIGS, the bytes of ``generate``'s
   A, b and x_true, the dataset CSV and binary that
@@ -35,7 +35,12 @@ It prints one "<config> <what> <sha256>" line per digest, in seven parts:
   on a 300 x 30 configuration with s = 60 and on a 2001 x 300 one with
   s = 1000, so that s*d lies on both sides of the Hessian's block, and on
   a low-coherence 1000 x 100 one with s = 100, the benchmark grid's shape,
-  where LESS's values are +-1 (n = s * nnz_per_row);
+  where LESS's values are +-1 (n = s * nnz_per_row), and on a 500 x 45 one
+  with s = 50, where LESS's default nnz_per_row ceil(0.1 d) = 5 rounds up
+  and n != s * nnz_per_row;
+* Gaussian fallback: one Gaussian estimate where potrf fails on M^T M, on
+  a 50 x 80 dataset (n < d) and on a 60 x 12 one whose column 7 equals
+  column 2;
 * line search: on that 1000 x 100 configuration, ``solver.line_search``'s
   accepted mu, x, f, margins and j for one direction from x = 0 that needs
   j* = 4 backtracks, searched from start 0, j* - 1 and j* + 3, and for the
@@ -253,9 +258,10 @@ def reference_digests(config):
 ROUNDING_FLOOR_CONFIG = ("low", 1000, 100, 100.0, 176337296440474)
 
 
-# (configuration, s): s*d is 1,800, 300,000 and 10,000 values.
+# (configuration, s): s*d is 1,800, 300,000, 10,000 and 2,250 values.
 ESTIMATES = [(CONFIGS[0], 60), (CONFIGS[4], 1000),
-             (("low", 1000, 100, 10.0, 9), 100)]
+             (("low", 1000, 100, 10.0, 9), 100),
+             (("low", 500, 45, 45.0, 10), 50)]
 ESTIMATE_SEED = 12
 
 
@@ -267,6 +273,25 @@ def estimate_digests(config, s):
         est = oracles.estimate(bench.oracle_for_name(name, s), obj, x_true,
                                np.random.default_rng(ESTIMATE_SEED))
         yield "estimate." + name, hashlib.sha256(est.tobytes()).hexdigest()
+
+
+def fallback_digests():
+    """The Gaussian estimate where potrf fails: at n < d, and at n >= d
+    with two equal columns (the datasets of the oracle fallback test)."""
+    for name, n, d, seed, equal_columns in (
+            ("fallback-50x80", 50, 80, 12, False),
+            ("fallback-60x12-equal-columns", 60, 12, 2, True)):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d))
+        if equal_columns:
+            A[:, 7] = A[:, 2]
+        obj = problem.RegularizedLogistic(
+            problem.Dataset(A, rng.choice([-1, 1], size=n)), 1e-2)
+        est = oracles.estimate(oracles.GaussianSketch(30), obj,
+                               np.cos(np.arange(float(d))) / d,
+                               np.random.default_rng(ESTIMATE_SEED))
+        yield name, "estimate.gauss", hashlib.sha256(est.tobytes()
+                                                     ).hexdigest()
 
 
 # The line search's configuration, and its two search rays.  At x = 0 the
@@ -358,6 +383,8 @@ def main():
                   flush=True)
     for what, digest in line_search_digests(LINE_SEARCH_CONFIG):
         print(config_name(*LINE_SEARCH_CONFIG), what, digest, flush=True)
+    for name, what, digest in fallback_digests():
+        print(name, what, digest, flush=True)
     return 0
 
 
